@@ -17,15 +17,16 @@ type Quote struct {
 }
 
 // QuotePodModes prices converting the network to the given per-pod modes
-// on a private clone, leaving the caller's network and any installed
-// routing state untouched — the online what-if entry point flatd's
-// /quote/convert serves. The quote prices the healthy fabric: transient
-// link failures are a routing-layer concern (priced per event by
-// routing.IncrementalTable) and do not change the conversion's rule churn
-// model. Wall-clock route-computation time is zeroed so identical inputs
-// always produce identical quotes.
+// — the online what-if entry point flatd's /quote/convert serves. It
+// converts nw itself, so callers pass a private copy (core.Network.Clone,
+// or a freshly built network) and keep live state out of reach; any
+// installed routing state stays untouched. The quote prices the healthy
+// fabric: transient link failures are a routing-layer concern (priced
+// per event by routing.IncrementalTable) and do not change the
+// conversion's rule churn model. Wall-clock route-computation time is
+// zeroed so identical inputs always produce identical quotes.
 func QuotePodModes(nw *core.Network, delay DelayModel, kByMode map[core.Mode]int, modes []core.Mode) (*Quote, error) {
-	c, err := NewController(nw.Clone(), delay, kByMode)
+	c, err := NewController(nw, delay, kByMode)
 	if err != nil {
 		return nil, err
 	}

@@ -215,64 +215,13 @@ func (g *Graph) Connected() bool {
 
 // ShortestPath returns a minimum-hop path from src to dst, or ok=false when
 // dst is unreachable. Ties are broken deterministically by link insertion
-// order.
+// order. It is Yen's first path: the same pooled search, with k = 1.
 func (g *Graph) ShortestPath(src, dst int) (Path, bool) {
-	return g.shortestPathFiltered(src, dst, nil, nil)
-}
-
-// shortestPathFiltered is BFS that ignores banned links and banned nodes
-// (both optional). src itself is never banned.
-func (g *Graph) shortestPathFiltered(src, dst int, bannedLinks map[int]bool, bannedNodes map[int]bool) (Path, bool) {
-	if src == dst {
-		return Path{Nodes: []int{src}}, true
+	paths := g.KShortestPaths(src, dst, 1)
+	if len(paths) == 0 {
+		return Path{}, false
 	}
-	prevLink := make([]int, g.n)
-	for i := range prevLink {
-		prevLink[i] = -1
-	}
-	visited := make([]bool, g.n)
-	visited[src] = true
-	queue := []int{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, id := range g.adj[u] {
-			if bannedLinks[id] {
-				continue
-			}
-			v := g.links[id].Other(u)
-			if visited[v] || bannedNodes[v] {
-				continue
-			}
-			visited[v] = true
-			prevLink[v] = id
-			if v == dst {
-				return g.tracePath(src, dst, prevLink), true
-			}
-			queue = append(queue, v)
-		}
-	}
-	return Path{}, false
-}
-
-func (g *Graph) tracePath(src, dst int, prevLink []int) Path {
-	var nodes, links []int
-	for at := dst; at != src; {
-		id := prevLink[at]
-		links = append(links, id)
-		nodes = append(nodes, at)
-		at = g.links[id].Other(at)
-	}
-	nodes = append(nodes, src)
-	reverseInts(nodes)
-	reverseInts(links)
-	return Path{Nodes: nodes, Links: links}
-}
-
-func reverseInts(s []int) {
-	for i, j := 0, len(s)-1; i < j; i, j = i+1, j-1 {
-		s[i], s[j] = s[j], s[i]
-	}
+	return paths[0], true
 }
 
 // AveragePathLength returns the mean BFS hop distance over all ordered pairs

@@ -1,8 +1,7 @@
 package graph
 
 import (
-	"container/heap"
-	"maps"
+	"sort"
 
 	"flattree/internal/parallel"
 	"flattree/internal/telemetry"
@@ -18,100 +17,106 @@ func (g *Graph) KShortestPaths(src, dst, k int) []Path {
 
 // KShortestPathsBanned is KShortestPaths on the subgraph that excludes the
 // banned links — the entry point incremental route repair uses to re-route
-// around masked (failed) links without rebuilding a pruned graph. The
-// banned set is read-only; nil means no links are banned. Determinism
-// matches KShortestPaths: for any banned set, the same graph yields the
-// same paths in the same order.
+// around masked (failed) links without rebuilding a pruned graph. Only
+// true entries ban a link, and IDs outside the graph are ignored. The
+// banned set is only read, so concurrent calls may share it; nil means no
+// links are banned. Determinism matches KShortestPaths: for any banned
+// set, the same graph yields the same paths in the same order.
+//
+// Every search runs the pooled stamped BFS (scratch.search); the returned
+// paths share one backing array allocated for the caller.
 func (g *Graph) KShortestPathsBanned(src, dst, k int, banned map[int]bool) []Path {
 	if k <= 0 {
 		return nil
 	}
-	first, ok := g.shortestPathFiltered(src, dst, banned, nil)
-	if !ok {
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	return s.yen(g, src, dst, k, banned)
+}
+
+// yen is KShortestPathsBanned on this scratch.
+func (s *scratch) yen(g *Graph, src, dst, k int, banned map[int]bool) []Path {
+	s.fit(g)
+	s.reset(g, banned)
+	if !s.search(g, src, dst, s.stampBans()) {
 		return nil
 	}
-	paths := []Path{first}
-	// Candidate heap of deviation paths, ordered by length then by
-	// discovery sequence for determinism.
-	cands := &pathHeap{}
-	seen := map[string]bool{pathKey(first.Nodes): true}
-	seq := 0
+	s.store(g, span{}, 0, src, dst)
+	s.accepted = append(s.accepted, 0)
 
-	for len(paths) < k {
-		prev := paths[len(paths)-1]
+	for len(s.accepted) < k {
+		prev := s.paths[s.accepted[len(s.accepted)-1]]
 		// Spur from every node of the previous path except the last.
-		for i := 0; i < len(prev.Nodes)-1; i++ {
-			spurNode := prev.Nodes[i]
-			rootNodes := prev.Nodes[:i+1]
-
-			bannedLinks := make(map[int]bool, len(banned)+2)
-			maps.Copy(bannedLinks, banned)
-			for _, p := range paths {
-				if len(p.Nodes) > i && equalNodes(p.Nodes[:i+1], rootNodes) && len(p.Links) > i {
-					bannedLinks[p.Links[i]] = true
+		for i := 0; i < prev.hops; i++ {
+			st := s.stampBans()
+			root := s.arena[prev.off : prev.off+i+1]
+			// Ban the next link of every accepted path sharing this root.
+			for _, a := range s.accepted {
+				p := s.paths[a]
+				if p.hops > i && equalNodes(s.arena[p.off:p.off+i+1], root) {
+					s.ban[s.arena[p.off+p.hops+1+i]] = st
 				}
 			}
-			bannedNodes := make(map[int]bool, i)
-			for _, n := range rootNodes[:i] {
-				bannedNodes[n] = true
+			for _, n := range root[:i] {
+				s.visit[n] = st
 			}
-
-			spur, ok := g.shortestPathFiltered(spurNode, dst, bannedLinks, bannedNodes)
-			if !ok {
-				continue
+			if s.search(g, root[i], dst, st) && s.store(g, prev, i, root[i], dst) {
+				s.cands = append(s.cands, len(s.paths)-1)
 			}
-			total := Path{
-				Nodes: append(append([]int(nil), rootNodes...), spur.Nodes[1:]...),
-				Links: append(append([]int(nil), prev.Links[:i]...), spur.Links...),
-			}
-			key := pathKey(total.Nodes)
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			heap.Push(cands, candPath{path: total, seq: seq})
-			seq++
 		}
-		if cands.Len() == 0 {
+		if len(s.cands) == 0 {
 			break
 		}
-		next := heap.Pop(cands).(candPath)
-		paths = append(paths, next.path)
+		best := 0
+		for j := 1; j < len(s.cands); j++ {
+			if s.before(s.cands[j], s.cands[best]) {
+				best = j
+			}
+		}
+		s.accepted = append(s.accepted, s.cands[best])
+		s.cands[best] = s.cands[len(s.cands)-1]
+		s.cands = s.cands[:len(s.cands)-1]
 	}
-	return paths
+	return s.export()
 }
 
-func pathKey(nodes []int) string {
-	// Compact byte encoding; node IDs fit in 4 bytes each.
-	b := make([]byte, 0, len(nodes)*4)
-	for _, n := range nodes {
-		b = append(b, byte(n), byte(n>>8), byte(n>>16), byte(n>>24))
+// before orders candidates as Yen accepts them: fewer hops first, then
+// earlier discovery (paths holds candidates in discovery order).
+func (s *scratch) before(a, b int) bool {
+	if ha, hb := s.paths[a].hops, s.paths[b].hops; ha != hb {
+		return ha < hb
 	}
-	return string(b)
+	return a < b
 }
 
-type candPath struct {
-	path Path
-	seq  int
-}
-
-type pathHeap []candPath
-
-func (h pathHeap) Len() int { return len(h) }
-func (h pathHeap) Less(i, j int) bool {
-	if h[i].path.Len() != h[j].path.Len() {
-		return h[i].path.Len() < h[j].path.Len()
+// reset clears the Yen state and records the in-range link IDs banned
+// maps to true, sorted so nothing downstream sees map order.
+func (s *scratch) reset(g *Graph, banned map[int]bool) {
+	ids := s.bans[:0]
+	for id := range banned {
+		ids = append(ids, id)
 	}
-	return h[i].seq < h[j].seq
+	sort.Ints(ids)
+	n := 0
+	for _, id := range ids {
+		if banned[id] && id >= 0 && id < len(g.links) {
+			ids[n] = id
+			n++
+		}
+	}
+	s.bans = ids[:n]
+	s.arena, s.paths = s.arena[:0], s.paths[:0]
+	s.cands, s.accepted = s.cands[:0], s.accepted[:0]
 }
-func (h pathHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *pathHeap) Push(x interface{}) { *h = append(*h, x.(candPath)) }
-func (h *pathHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+
+// stampBans draws the stamp for the next search and bans the caller's
+// links under it.
+func (s *scratch) stampBans() uint32 {
+	st := s.next()
+	for _, id := range s.bans {
+		s.ban[id] = st
+	}
+	return st
 }
 
 // PairKey identifies an ordered (src, dst) node pair in path tables.
@@ -121,8 +126,9 @@ type PairKey struct{ Src, Dst int }
 // pairs on the shared bounded worker pool (at most parallel.DefaultWorkers
 // goroutines, whatever the pair count). The result maps each pair to its
 // path list. Pair computations are independent, mirroring the paper's note
-// that k-shortest-path routing parallelizes trivially (§4.3); results are
-// collected by index, so the table is identical for any worker count.
+// that k-shortest-path routing parallelizes trivially (§4.3); each task
+// takes its own search scratch from the pool, and results are collected by
+// index, so the table is identical for any worker count.
 func (g *Graph) KShortestAllPairs(pairs []PairKey, k int) map[PairKey][]Path {
 	results, _ := parallel.Map(parallel.Default(), len(pairs), func(i int) ([]Path, error) {
 		return g.KShortestPaths(pairs[i].Src, pairs[i].Dst, k), nil

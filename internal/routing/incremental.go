@@ -2,6 +2,7 @@ package routing
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -107,13 +108,17 @@ type IncrementalTable struct {
 	// cur holds the installed paths per ordered ingress pair; entries of
 	// clean pairs alias the baseline's slices.
 	cur map[graph.PairKey][]graph.Path
-	// curUse indexes the installed paths at bundle granularity: normalized
-	// switch pair -> pairs whose current paths traverse any link of that
-	// bundle — the dirty-pair tracker.
-	curUse map[adjKey]map[graph.PairKey]struct{}
+	// bundle maps each link ID of the original graph to its bundle: the
+	// dense index of its normalized (low, high) endpoint pair, numbered in
+	// order of first appearance. Built once; immutable.
+	bundle []int
+	// curUse indexes the installed paths at bundle granularity: bundle ->
+	// pairs whose current paths traverse any link of that bundle — the
+	// dirty-pair tracker. Emptied sets are kept for reuse.
+	curUse []map[graph.PairKey]struct{}
 	// baseUse indexes the baseline: bundle -> pairs (sorted) whose healthy
 	// paths traverse it; immutable after construction.
-	baseUse map[adjKey][]graph.PairKey
+	baseUse [][]graph.PairKey
 	// baseBroken counts, per pair, how many banned links have a bundle the
 	// pair's baseline paths traverse (one count per banned link, so two
 	// masked twins of one bundle count twice); zero (absent) means the
@@ -122,6 +127,8 @@ type IncrementalTable struct {
 	// rules tracks the installed per-switch rule counts, updated by each
 	// event's delta.
 	rules map[int]int
+	// adjBuf is pairAdjSet's reusable result buffer.
+	adjBuf []int
 	// rec, when set, receives one flight-recorder event per switch the
 	// event's delta touches, stamped with simTime (the caller's event
 	// clock — this table has no clock of its own).
@@ -129,27 +136,35 @@ type IncrementalTable struct {
 	simTime float64
 }
 
-// adjKey is a normalized (low, high) switch pair identifying one bundle
-// of parallel links.
-type adjKey [2]int
-
-// adjOf returns the bundle key of a link on the original graph.
-func (it *IncrementalTable) adjOf(link int) adjKey {
-	l := it.base.topo.G.Link(link)
-	if l.A <= l.B {
-		return adjKey{l.A, l.B}
+// bundleTable numbers the bundles of g — one per normalized (low, high)
+// endpoint pair — in order of first appearance and returns each link's
+// bundle with the bundle count.
+func bundleTable(g *graph.Graph) ([]int, int) {
+	type adjKey [2]int
+	index := map[adjKey]int{}
+	bundle := make([]int, g.NumLinks())
+	for _, l := range g.Links() {
+		a := adjKey{min(l.A, l.B), max(l.A, l.B)}
+		b, ok := index[a]
+		if !ok {
+			b = len(index)
+			index[a] = b
+		}
+		bundle[l.ID] = b
 	}
-	return adjKey{l.B, l.A}
+	return bundle, len(index)
 }
 
 // NewIncremental wraps a healthy baseline table for incremental repair.
 func NewIncremental(base *Table) *IncrementalTable {
+	bundle, nBundles := bundleTable(base.topo.G)
 	it := &IncrementalTable{
 		base:       base,
 		banned:     map[int]bool{},
 		cur:        make(map[graph.PairKey][]graph.Path, len(base.Paths)),
-		curUse:     map[adjKey]map[graph.PairKey]struct{}{},
-		baseUse:    map[adjKey][]graph.PairKey{},
+		bundle:     bundle,
+		curUse:     make([]map[graph.PairKey]struct{}, nBundles),
+		baseUse:    make([][]graph.PairKey, nBundles),
 		baseBroken: map[graph.PairKey]int{},
 		rules:      base.PrefixRulesPerSwitch(),
 	}
@@ -213,7 +228,7 @@ func (it *IncrementalTable) Fail(link int) RuleDelta {
 	}
 	start := time.Now()
 	it.banned[link] = true
-	adj := it.adjOf(link)
+	adj := it.bundle[link]
 	for _, pk := range it.baseUse[adj] {
 		it.baseBroken[pk]++
 	}
@@ -302,7 +317,7 @@ func (it *IncrementalTable) Repair(link int) RuleDelta {
 	start := time.Now()
 	delete(it.banned, link)
 	var restored []graph.PairKey
-	for _, pk := range it.baseUse[it.adjOf(link)] {
+	for _, pk := range it.baseUse[it.bundle[link]] {
 		it.baseBroken[pk]--
 		if it.baseBroken[pk] == 0 {
 			delete(it.baseBroken, pk)
@@ -373,16 +388,8 @@ func (it *IncrementalTable) install(pk graph.PairKey, paths []graph.Path, delta 
 	if pathSetsEqual(old, paths) {
 		return
 	}
-	oldKeys := make(map[string]bool, len(old))
 	for _, p := range old {
-		oldKeys[nodesKey(p.Nodes)] = true
-	}
-	newKeys := make(map[string]bool, len(paths))
-	for _, p := range paths {
-		newKeys[nodesKey(p.Nodes)] = true
-	}
-	for _, p := range old {
-		if !newKeys[nodesKey(p.Nodes)] {
+		if !hasNodes(paths, p.Nodes) {
 			for _, n := range p.Nodes {
 				delta.Dels[n]++
 				it.rules[n]--
@@ -390,7 +397,7 @@ func (it *IncrementalTable) install(pk graph.PairKey, paths []graph.Path, delta 
 		}
 	}
 	for _, p := range paths {
-		if !oldKeys[nodesKey(p.Nodes)] {
+		if !hasNodes(old, p.Nodes) {
 			for _, n := range p.Nodes {
 				delta.Adds[n]++
 				it.rules[n]++
@@ -399,9 +406,6 @@ func (it *IncrementalTable) install(pk graph.PairKey, paths []graph.Path, delta 
 	}
 	for _, a := range it.pairAdjSet(old) {
 		delete(it.curUse[a], pk)
-		if len(it.curUse[a]) == 0 {
-			delete(it.curUse, a)
-		}
 	}
 	it.cur[pk] = paths
 	for _, a := range it.pairAdjSet(paths) {
@@ -409,13 +413,11 @@ func (it *IncrementalTable) install(pk graph.PairKey, paths []graph.Path, delta 
 	}
 }
 
-func (it *IncrementalTable) addCurUse(a adjKey, pk graph.PairKey) {
-	s, ok := it.curUse[a]
-	if !ok {
-		s = map[graph.PairKey]struct{}{}
-		it.curUse[a] = s
+func (it *IncrementalTable) addCurUse(a int, pk graph.PairKey) {
+	if it.curUse[a] == nil {
+		it.curUse[a] = map[graph.PairKey]struct{}{}
 	}
-	s[pk] = struct{}{}
+	it.curUse[a][pk] = struct{}{}
 }
 
 func (it *IncrementalTable) finishEvent(dirty int, start time.Time) {
@@ -424,61 +426,39 @@ func (it *IncrementalTable) finishEvent(dirty int, start time.Time) {
 	telemetry.H("routing_incremental_repair_seconds").Observe(time.Since(start).Seconds())
 }
 
-// pairAdjSet returns the distinct bundles a pair's paths traverse, in
-// ascending (low, high) order.
-func (it *IncrementalTable) pairAdjSet(paths []graph.Path) []adjKey {
-	seen := map[adjKey]bool{}
-	var out []adjKey
+// pairAdjSet returns the distinct bundles a pair's paths traverse,
+// ascending. The result reuses one buffer and is valid until the next
+// call.
+func (it *IncrementalTable) pairAdjSet(paths []graph.Path) []int {
+	out := it.adjBuf[:0]
 	for _, p := range paths {
 		for _, l := range p.Links {
-			a := it.adjOf(l)
-			if !seen[a] {
-				seen[a] = true
-				out = append(out, a)
-			}
+			out = append(out, it.bundle[l])
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
+	slices.Sort(out)
+	out = slices.Compact(out)
+	it.adjBuf = out
 	return out
+}
+
+// hasNodes reports whether some path in paths visits exactly the node
+// sequence nodes — rule content identity: the path a rule forwards along.
+func hasNodes(paths []graph.Path, nodes []int) bool {
+	for _, p := range paths {
+		if slices.Equal(p.Nodes, nodes) {
+			return true
+		}
+	}
+	return false
 }
 
 // pathSetsEqual compares two path lists exactly (nodes and links, in
 // order).
 func pathSetsEqual(a, b []graph.Path) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i].Nodes) != len(b[i].Nodes) || len(a[i].Links) != len(b[i].Links) {
-			return false
-		}
-		for j := range a[i].Nodes {
-			if a[i].Nodes[j] != b[i].Nodes[j] {
-				return false
-			}
-		}
-		for j := range a[i].Links {
-			if a[i].Links[j] != b[i].Links[j] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// nodesKey encodes a node sequence as a comparable string (rule content
-// identity: the path a rule forwards along).
-func nodesKey(nodes []int) string {
-	b := make([]byte, 0, len(nodes)*4)
-	for _, n := range nodes {
-		b = append(b, byte(n), byte(n>>8), byte(n>>16), byte(n>>24))
-	}
-	return string(b)
+	return slices.EqualFunc(a, b, func(x, y graph.Path) bool {
+		return slices.Equal(x.Nodes, y.Nodes) && slices.Equal(x.Links, y.Links)
+	})
 }
 
 func sortedPairKeys(m map[graph.PairKey][]graph.Path) []graph.PairKey {

@@ -185,7 +185,7 @@ func TestIncrementalZeroAffectedFailure(t *testing.T) {
 	// like a0-a1 carry no installed path.
 	var unused int = -1
 	for _, l := range switchLinks(tp) {
-		if len(it.curUse[it.adjOf(l)]) == 0 {
+		if len(it.curUse[it.bundle[l]]) == 0 {
 			unused = l
 			break
 		}

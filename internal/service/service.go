@@ -15,10 +15,11 @@
 //
 // Reads run concurrently under an RWMutex; mutations (/events/link) are
 // serialized, so the state is race-clean by construction. Conversion
-// quotes clone the network (control.QuotePodModes) and never touch live
-// state. Every request runs under a deadline (Config.RequestTimeout) and
-// is logged as a bounded telemetry root span; Run drains in-flight
-// requests on context cancellation before returning.
+// quotes clone the network under the read lock and convert only the
+// clone (control.QuotePodModes), never live state. Every request runs
+// under a deadline (Config.RequestTimeout) and is logged as a bounded
+// telemetry root span; Run drains in-flight requests on context
+// cancellation before returning.
 package service
 
 import (

@@ -324,7 +324,7 @@ func TestRoutes(t *testing.T) {
 
 	for _, target := range []string{
 		"/routes",
-		"/routes?src=0&dst=1",                       // node 0 is a switch
+		"/routes?src=0&dst=1", // node 0 is a switch
 		fmt.Sprintf("/routes?src=%d&dst=xyz", src),  // unparsable
 		fmt.Sprintf("/routes?src=%d&dst=9999", src), // out of range
 	} {
