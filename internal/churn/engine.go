@@ -2,7 +2,6 @@ package churn
 
 import (
 	"fmt"
-	"maps"
 	"sort"
 
 	"flattree/internal/control"
@@ -114,7 +113,7 @@ func (e *Engine) Compile(trace Trace, conns []Conn) (*Plan, error) {
 	specs := make([]flowsim.ConnSpec, len(conns))
 	installed := make([][][]int, len(conns))
 	for i, c := range conns {
-		dp := directedServerPaths(view, t.G, nil, c.Src, c.Dst, k)
+		dp := serverSlots(view, t.G, c.Src, c.Dst, k)
 		if len(dp) == 0 {
 			return nil, fmt.Errorf("churn: no path between servers %d and %d on the healthy topology", c.Src, c.Dst)
 		}
@@ -186,7 +185,7 @@ func (e *Engine) Compile(trace Trace, conns []Conn) (*Plan, error) {
 			if len(cur) > 0 && !crossesDead(cur, deadSlots) {
 				continue // stale but intact: flows keep working paths
 			}
-			np := directedServerPaths(view, t.G, nil, c.Src, c.Dst, k)
+			np := serverSlots(view, t.G, c.Src, c.Dst, k)
 			if pathsEqual(cur, np) {
 				continue
 			}
@@ -203,64 +202,16 @@ func (e *Engine) Compile(trace Trace, conns []Conn) (*Plan, error) {
 	return &Plan{Specs: specs, Events: events, Reactions: reactions, Deltas: deltas}, nil
 }
 
-// pruneWithMap rebuilds the topology without the masked links, returning
-// it with a pruned-link-ID → original-link-ID map so paths computed on
-// the surviving fabric translate back to the simulator's directed slots.
-// Node IDs are preserved; unlike control's prune, a partitioned survivor
-// is allowed — disconnected flows are the engine's subject, not an error.
-func pruneWithMap(t *topo.Topology, failed map[[2]int]int) (*topo.Topology, []int) {
-	remaining := make(map[[2]int]int, len(failed))
-	maps.Copy(remaining, failed)
-	out := topo.NewTopology(t.Name + "-churn")
-	out.SetNumPods(t.NumPods())
-	for _, n := range t.Nodes {
-		id := out.AddNode(n.Kind, n.Pod)
-		out.Nodes[id].LocalIndex = n.LocalIndex
-	}
-	var linkMap []int
-	for id, l := range t.G.Links() {
-		if t.Nodes[l.A].Kind == topo.Server || t.Nodes[l.B].Kind == topo.Server {
-			continue // re-added below via AttachServer
-		}
-		key := pairKey(l.A, l.B)
-		if remaining[key] > 0 {
-			remaining[key]--
-			continue // masked
-		}
-		out.AddLink(l.A, l.B)
-		linkMap = append(linkMap, id)
-	}
-	for _, s := range t.Servers() {
-		out.AttachServer(s, t.AttachedSwitch(s))
-		linkMap = append(linkMap, t.G.Incident(s)[0])
-	}
-	return out, linkMap
-}
-
-// directedServerPaths returns up to k server-to-server paths as directed
-// slot lists in the ORIGINAL graph's numbering. linkMap translates the
-// table's graph to the original; nil means the table is already on it.
-func directedServerPaths(table *routing.Table, g *graph.Graph, linkMap []int, src, dst, k int) [][]int {
+// serverSlots returns up to k server-to-server paths of the table as
+// directed slot lists on g (routing.DirectedLinkIDs).
+func serverSlots(table *routing.Table, g *graph.Graph, src, dst, k int) [][]int {
 	paths := table.ServerPaths(src, dst)
 	if len(paths) > k {
 		paths = paths[:k]
 	}
-	out := make([][]int, 0, len(paths))
-	for _, p := range paths {
-		dp := make([]int, len(p.Links))
-		for i, id := range p.Links {
-			l := g.Link(id)
-			dir := 0
-			if p.Nodes[i] != l.A {
-				dir = 1
-			}
-			orig := id
-			if linkMap != nil {
-				orig = linkMap[id]
-			}
-			dp[i] = 2*orig + dir
-		}
-		out = append(out, dp)
+	out := make([][]int, len(paths))
+	for i, p := range paths {
+		out[i] = routing.DirectedLinkIDs(g, p)
 	}
 	return out
 }

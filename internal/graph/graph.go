@@ -11,6 +11,7 @@ package graph
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 )
 
 // Link is one undirected edge of the multigraph. A and B are node IDs;
@@ -39,6 +40,9 @@ type Graph struct {
 	n     int
 	links []Link
 	adj   [][]int // node -> incident link IDs
+	// core is adj without the links to degree-1 nodes, derived on first
+	// use by coreAdj and reset by AddNode and AddLink.
+	core atomic.Pointer[[][]int]
 }
 
 // New returns a graph with n nodes and no links.
@@ -56,6 +60,7 @@ func (g *Graph) NumLinks() int { return len(g.links) }
 func (g *Graph) AddNode() int {
 	g.adj = append(g.adj, nil)
 	g.n++
+	g.core.Store(nil)
 	return g.n - 1
 }
 
@@ -71,6 +76,7 @@ func (g *Graph) AddLink(a, b int, capacity float64) int {
 	g.links = append(g.links, Link{ID: id, A: a, B: b, Capacity: capacity})
 	g.adj[a] = append(g.adj[a], id)
 	g.adj[b] = append(g.adj[b], id)
+	g.core.Store(nil)
 	return id
 }
 
@@ -113,7 +119,39 @@ func (g *Graph) HasLinkBetween(a, b int) bool {
 	return false
 }
 
-// Clone returns a deep copy of the graph.
+// coreAdj returns the core adjacency: per node, the incident links whose
+// far end has degree at least 2, in insertion order. A node with no
+// degree-1 neighbour shares its adj slice. The view is built on first use
+// after a change; concurrent first uses may each build it, and they agree.
+func (g *Graph) coreAdj() [][]int {
+	if c := g.core.Load(); c != nil {
+		return *c
+	}
+	c := make([][]int, g.n)
+	for u, inc := range g.adj {
+		leaves := 0
+		for _, id := range inc {
+			if len(g.adj[g.links[id].Other(u)]) < 2 {
+				leaves++
+			}
+		}
+		if leaves == 0 {
+			c[u] = inc
+			continue
+		}
+		c[u] = make([]int, 0, len(inc)-leaves)
+		for _, id := range inc {
+			if len(g.adj[g.links[id].Other(u)]) >= 2 {
+				c[u] = append(c[u], id)
+			}
+		}
+	}
+	g.core.CompareAndSwap(nil, &c)
+	return c
+}
+
+// Clone returns a deep copy of the graph. The copy derives its own core
+// adjacency on first use.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{n: g.n, links: make([]Link, len(g.links)), adj: make([][]int, len(g.adj))}
 	copy(c.links, g.links)
@@ -177,17 +215,25 @@ func equalNodes(a, b []int) bool {
 
 // BFSDistances returns the hop distance from src to every node, with -1 for
 // unreachable nodes.
-func (g *Graph) BFSDistances(src int) []int {
+func (g *Graph) BFSDistances(src int) []int { return g.BFSDistancesBanned(src, nil) }
+
+// BFSDistancesBanned is BFSDistances on the subgraph without the banned
+// links. As in KShortestPathsBanned, only true entries ban a link and nil
+// bans nothing.
+func (g *Graph) BFSDistancesBanned(src int, banned map[int]bool) []int {
 	dist := make([]int, g.n)
 	for i := range dist {
 		dist[i] = -1
 	}
 	dist[src] = 0
-	queue := []int{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
+	queue := make([]int, 1, g.n)
+	queue[0] = src
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
 		for _, id := range g.adj[u] {
+			if banned[id] {
+				continue
+			}
 			v := g.links[id].Other(u)
 			if dist[v] < 0 {
 				dist[v] = dist[u] + 1

@@ -80,6 +80,17 @@ func (s *scratch) next() uint32 {
 // read back by store. It reports whether dst was reached (src == dst
 // trivially is).
 //
+// Unless dst itself has degree 1, the search walks the core adjacency,
+// which leaves out the links to degree-1 nodes, instead of the full one.
+// That changes nothing it finds. A degree-1 node other than dst is never
+// interior to a loopless path: once discovered and dequeued, its only
+// link leads back to its discoverer, so it discovers nothing. Never
+// discovering it therefore leaves every other discovery, every prev
+// entry and every relative queue position as they were. In a realized
+// topology the degree-1 nodes are the servers — 128 of mini-1's 176
+// nodes — which a switch-to-switch search would otherwise enqueue,
+// dequeue and scan for nothing.
+//
 //flatvet:hotpath runs once per Yen spur, thousands of times per route-table build or repair
 func (s *scratch) search(g *Graph, src, dst int, st uint32) bool {
 	visit, ban, prev := s.visit, s.ban, s.prev
@@ -87,10 +98,14 @@ func (s *scratch) search(g *Graph, src, dst int, st uint32) bool {
 	if src == dst {
 		return true
 	}
+	adj := g.adj
+	if len(adj[dst]) >= 2 {
+		adj = g.coreAdj()
+	}
 	q := append(s.queue[:0], src)
 	for head := 0; head < len(q); head++ {
 		u := q[head]
-		for _, id := range g.adj[u] {
+		for _, id := range adj[u] {
 			if ban[id] == st {
 				continue
 			}

@@ -30,6 +30,37 @@ func randomMultigraph(rng *rand.Rand, n, extra int, connected bool) *Graph {
 	return g
 }
 
+// addPendants hangs count new degree-1 nodes off random nodes, earlier
+// pendants included: a pendant that receives another becomes a degree-2
+// node on a chain, so the graph gains leaves at the end of short chains
+// as well as leaves on core nodes.
+func addPendants(rng *rand.Rand, g *Graph, count int) {
+	for i := 0; i < count; i++ {
+		v := g.AddNode()
+		g.AddLink(v, rng.Intn(v), 1)
+	}
+}
+
+// leafNodes returns the degree-1 nodes of g, ascending.
+func leafNodes(g *Graph) []int {
+	var out []int
+	for v := 0; v < g.NumNodes(); v++ {
+		if g.Degree(v) == 1 {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// pickNode returns a random node of g, a leaf one time in three when g
+// has any.
+func pickNode(rng *rand.Rand, g *Graph) int {
+	if leaves := leafNodes(g); len(leaves) > 0 && rng.Intn(3) == 0 {
+		return leaves[rng.Intn(len(leaves))]
+	}
+	return rng.Intn(g.NumNodes())
+}
+
 // randomBans returns a ban set mixing true entries, false entries (which
 // ban nothing) and IDs outside the graph on both sides (which are
 // ignored).
@@ -65,16 +96,19 @@ func checkAgainstReference(g *Graph, src, dst, k int, banned map[int]bool) error
 
 // TestKShortestPathsMatchesReference is the differential test behind the
 // kernel's byte-identity contract: on seeded random multigraphs with
-// parallel links, random ban sets and k from 1 to 10, the pooled stamped
-// Yen returns exactly the reference Yen's paths, and ShortestPath its
-// first search.
+// parallel links and pendant degree-1 nodes, random ban sets and k from 1
+// to 10, the pooled stamped Yen returns exactly the reference Yen's
+// paths, and ShortestPath its first search. Endpoints are leaves a third
+// of the time each, so leaf sources, leaf destinations (where the search
+// must walk the full adjacency) and leaf-to-leaf pairs all occur.
 func TestKShortestPathsMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 400; trial++ {
 		n := 2 + rng.Intn(18)
 		g := randomMultigraph(rng, n, rng.Intn(3*n), trial%5 != 0)
+		addPendants(rng, g, rng.Intn(n))
 		banned := randomBans(rng, g)
-		src, dst := rng.Intn(n), rng.Intn(n)
+		src, dst := pickNode(rng, g), pickNode(rng, g)
 		for k := 1; k <= 10; k++ {
 			if err := checkAgainstReference(g, src, dst, k, banned); err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
@@ -84,6 +118,65 @@ func TestKShortestPathsMatchesReference(t *testing.T) {
 		want, wantOK := g.refShortestPathFiltered(src, dst, nil, nil)
 		if gotOK != wantOK || !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: ShortestPath(%d, %d) = %v, %v; want %v, %v", trial, src, dst, got, gotOK, want, wantOK)
+		}
+	}
+}
+
+// TestKShortestPathsAfterGraphChange checks that searches see links and
+// nodes added after an earlier search: the core adjacency that lets a
+// search skip leaves must be rebuilt, or it keeps skipping a former leaf
+// that is now a transit node. The first case is exact: 0-1-2-3 is the
+// only path until AddLink makes leaf 4 a shortcut, and a search from a
+// node added after it must not index past the old view. The random rounds
+// search, then turn a leaf into a transit node and hang a new leaf with
+// AddNode, and search again; each round runs on 8 workers, so the
+// rebuilt view's first use is concurrent (and checked under -race).
+func TestKShortestPathsAfterGraphChange(t *testing.T) {
+	g := New(6)
+	for _, l := range [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 5}, {0, 4}} {
+		g.AddLink(l[0], l[1], 1)
+	}
+	if err := checkAgainstReference(g, 0, 3, 2, nil); err != nil {
+		t.Fatal(err)
+	}
+	g.AddLink(4, 3, 1)
+	if err := checkAgainstReference(g, 0, 3, 2, nil); err != nil {
+		t.Fatalf("after AddLink(4, 3): %v", err)
+	}
+	if p, _ := g.ShortestPath(0, 3); !slices.Equal(p.Nodes, []int{0, 4, 3}) {
+		t.Fatalf("ShortestPath(0, 3) = %v after AddLink(4, 3), want the new shortcut [0 4 3]", p.Nodes)
+	}
+	if v := g.AddNode(); len(g.KShortestPaths(v, 3, 2)) != 0 {
+		t.Fatalf("isolated node %d reaches node 3", v)
+	}
+
+	rng := rand.New(rand.NewSource(41))
+	pool := parallel.New(parallel.Config{Workers: 8})
+	for trial := 0; trial < 40; trial++ {
+		n := 4 + rng.Intn(12)
+		g := randomMultigraph(rng, n, rng.Intn(2*n), true)
+		addPendants(rng, g, 1+rng.Intn(n))
+		for round := 0; round < 4; round++ {
+			type task struct{ src, dst, k int }
+			tasks := make([]task, 32)
+			for i := range tasks {
+				tasks[i] = task{pickNode(rng, g), pickNode(rng, g), 1 + rng.Intn(6)}
+			}
+			errs := make([]error, len(tasks))
+			pool.ForEach(len(tasks), func(i int) {
+				errs[i] = checkAgainstReference(g, tasks[i].src, tasks[i].dst, tasks[i].k, nil)
+			})
+			for i, err := range errs {
+				if err != nil {
+					t.Fatalf("trial %d round %d task %d: %v", trial, round, i, err)
+				}
+			}
+			leaves := leafNodes(g)
+			leaf := leaves[rng.Intn(len(leaves))]
+			if other := rng.Intn(g.NumNodes()); other != leaf {
+				g.AddLink(leaf, other, 1)
+			}
+			addPendants(rng, g, 1)
 		}
 	}
 }

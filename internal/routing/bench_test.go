@@ -13,22 +13,24 @@ import (
 // experiment topology (mini-1, k=8), so ns/op is directly comparable —
 // the BENCH_pr5.json CI artifact records the pair.
 
-func benchChurnTopo(b *testing.B) *topo.Topology {
-	b.Helper()
+// mini1Topo realizes the churn experiment's fabric, mini-1, in the given
+// mode.
+func mini1Topo(tb testing.TB, mode core.Mode) *topo.Topology {
+	tb.Helper()
 	p := topo.ClosParams{
 		Name: "mini-1", Pods: 4, EdgesPerPod: 4, AggsPerPod: 4,
 		ServersPerEdge: 8, EdgeUplinks: 4, AggUplinks: 4, Cores: 16,
 	}
 	nw, err := core.New(p, core.Options{N: 1, M: 1, Pattern: core.Pattern1})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	nw.SetMode(core.ModeClos)
+	nw.SetMode(mode)
 	return nw.Realize().Topo
 }
 
 func BenchmarkRepairIncremental(b *testing.B) {
-	tp := benchChurnTopo(b)
+	tp := mini1Topo(b, core.ModeClos)
 	base := BuildKShortest(tp, 8)
 	links := switchLinks(tp)
 	it := NewIncremental(base)
@@ -41,8 +43,30 @@ func BenchmarkRepairIncremental(b *testing.B) {
 	}
 }
 
+// BenchmarkRepairOverlapping keeps a window of three masked links on
+// mini-1 in global mode: each iteration fails link i+3 and repairs link
+// i. A repair then leaves pairs degraded by the other two masked links,
+// which the distance bound may keep without running Yen — the case
+// BenchmarkRepairIncremental, whose repair always restores every pair,
+// never reaches.
+func BenchmarkRepairOverlapping(b *testing.B) {
+	const window = 3
+	tp := mini1Topo(b, core.ModeGlobal)
+	links := switchLinks(tp)
+	it := NewIncremental(BuildKShortest(tp, 8))
+	for i := 0; i < window; i++ {
+		it.Fail(links[i])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		it.Fail(links[(i+window)%len(links)])
+		it.Repair(links[i%len(links)])
+	}
+}
+
 func BenchmarkRepairFullRebuild(b *testing.B) {
-	tp := benchChurnTopo(b)
+	tp := mini1Topo(b, core.ModeClos)
 	links := switchLinks(tp)
 	b.ReportAllocs()
 	b.ResetTimer()

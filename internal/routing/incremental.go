@@ -1,7 +1,11 @@
 package routing
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
+	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"time"
@@ -36,10 +40,45 @@ import (
 //
 // The same argument drives repair: a degraded pair whose baseline paths
 // avoid every masked bundle gets the baseline restored verbatim (no
-// Yen); the pairs still missing baseline bundles are recomputed, because
-// a restored link can offer a better detour even to pairs whose baseline
-// never used it. The result is byte-identical to BuildKShortest on the
-// pruned topology after every event.
+// Yen). A pair still missing baseline bundles may gain a better detour
+// from the restored link X = (u, v), so it is recomputed — unless the
+// distance bound below proves it cannot. The result is byte-identical to
+// BuildKShortest on the pruned topology after every event.
+//
+// The distance bound. Keep a degraded pair (s, d) as installed when it
+// holds exactly k paths and every s–d path through X is longer than its
+// k-th path L_k:
+//
+//	min(d(s,u)+1+d(v,d), d(s,v)+1+d(u,d)) > hops(cur[k-1])
+//
+// with d the hop distances over the links unmasked after the repair
+// (two BFS runs per repair event, from u and from v). By the table
+// invariant the installed paths are a from-scratch Yen on the banned set
+// before the repair. Restoring X changes a BFS only through discoveries
+// made via X: run the "bans only remove discoveries" argument above in
+// reverse, and any node whose BFS parent changes has X on its discovery
+// chain. So every first-path or spur search whose result changes now
+// returns a path through X — by the bound longer than L_k — and the
+// search it replaces returned one at least as long, as the graph before
+// the repair is a subgraph of the one after. Neither is ever accepted
+// among the first k. The candidates of at most L_k hops are the same
+// paths in the same relative discovery order, so Yen accepts the same k
+// paths. A pair with fewer than k paths ran out of candidates, and a path
+// through X may now extend it, so it is always recomputed. Equality does
+// not prune: a path through X with exactly L_k hops can win on discovery
+// order.
+//
+// Every search behind a repair also skips the degree-1 nodes (servers)
+// unless the destination is one: a degree-1 node other than the
+// destination is never interior to a loopless path, and dropping it
+// leaves every other discovery, predecessor and relative queue position
+// unchanged (graph's scratch.search carries the argument).
+//
+// Bookkeeping is indexed by pair number — the ordered ingress pairs in
+// sorted order, numbered once per table — so an event's bookkeeping
+// touches slices and bitsets, and the only PairKey map it writes is the
+// one View serves, once per changed pair. Walking a bundle's bitset row
+// visits its pairs already sorted.
 
 // RuleDelta is the per-switch forwarding-rule diff of one link event
 // under ingress/egress prefix aggregation: how many rules each switch
@@ -51,10 +90,6 @@ type RuleDelta struct {
 	// Adds and Dels map switch node ID to the rules installed/removed
 	// there. Switches with zero churn are absent.
 	Adds, Dels map[int]int
-}
-
-func newRuleDelta() RuleDelta {
-	return RuleDelta{Adds: map[int]int{}, Dels: map[int]int{}}
 }
 
 // Empty reports whether the event changed no rules.
@@ -105,30 +140,47 @@ type IncrementalTable struct {
 	// banned is the set of currently masked link IDs on the original
 	// graph.
 	banned map[int]bool
-	// cur holds the installed paths per ordered ingress pair; entries of
-	// clean pairs alias the baseline's slices.
-	cur map[graph.PairKey][]graph.Path
+	// pairs numbers the ordered ingress pairs in sorted order; every
+	// per-pair slice below is indexed by that number.
+	pairs []graph.PairKey
+	// cur holds the installed paths per ordered ingress pair, the map View
+	// serves; entries of clean pairs alias the baseline's slices. paths
+	// holds the same slices by pair number.
+	cur   map[graph.PairKey][]graph.Path
+	paths [][]graph.Path
 	// bundle maps each link ID of the original graph to its bundle: the
 	// dense index of its normalized (low, high) endpoint pair, numbered in
 	// order of first appearance. Built once; immutable.
 	bundle []int
 	// curUse indexes the installed paths at bundle granularity: bundle ->
-	// pairs whose current paths traverse any link of that bundle — the
-	// dirty-pair tracker. Emptied sets are kept for reuse.
-	curUse []map[graph.PairKey]struct{}
-	// baseUse indexes the baseline: bundle -> pairs (sorted) whose healthy
-	// paths traverse it; immutable after construction.
-	baseUse [][]graph.PairKey
-	// baseBroken counts, per pair, how many banned links have a bundle the
+	// bitset over pair numbers of the pairs whose current paths traverse
+	// any link of that bundle — the dirty-pair tracker. A row is allocated
+	// when some path first uses the bundle and kept once emptied. Bits
+	// are set and cleared per path link, so no per-pair bundle list is
+	// kept: a bundle several of a pair's links cross is simply set, or
+	// cleared, more than once.
+	curUse [][]uint64
+	// baseUse indexes the baseline: bundle -> pair numbers (ascending) of
+	// the pairs whose healthy paths traverse it; immutable after
+	// construction.
+	baseUse [][]int32
+	// broken counts, per pair, how many banned links have a bundle the
 	// pair's baseline paths traverse (one count per banned link, so two
-	// masked twins of one bundle count twice); zero (absent) means the
-	// pair is clean and its installed paths are the baseline's.
-	baseBroken map[graph.PairKey]int
-	// rules tracks the installed per-switch rule counts, updated by each
+	// masked twins of one bundle count twice); zero means the pair is
+	// clean and its installed paths are the baseline's. degraded is the
+	// number of nonzero entries.
+	broken   []int32
+	degraded int
+	// rules tracks the installed rule count per node, updated by each
 	// event's delta.
-	rules map[int]int
-	// adjBuf is pairAdjSet's reusable result buffer.
-	adjBuf []int
+	rules []int
+	// adds and dels accumulate the current event's rule diff per node;
+	// touched lists the nodes with a nonzero entry in either, so
+	// takeDelta turns them into the event's RuleDelta and clears them.
+	adds, dels []int
+	touched    []int
+	// work is the reusable list of pair numbers an event recomputes.
+	work []int32
 	// rec, when set, receives one flight-recorder event per switch the
 	// event's delta touches, stamped with simTime (the caller's event
 	// clock — this table has no clock of its own).
@@ -157,24 +209,39 @@ func bundleTable(g *graph.Graph) ([]int, int) {
 
 // NewIncremental wraps a healthy baseline table for incremental repair.
 func NewIncremental(base *Table) *IncrementalTable {
-	bundle, nBundles := bundleTable(base.topo.G)
+	g := base.topo.G
+	bundle, nBundles := bundleTable(g)
+	pairs := sortedPairKeys(base.Paths)
 	it := &IncrementalTable{
-		base:       base,
-		banned:     map[int]bool{},
-		cur:        make(map[graph.PairKey][]graph.Path, len(base.Paths)),
-		bundle:     bundle,
-		curUse:     make([]map[graph.PairKey]struct{}, nBundles),
-		baseUse:    make([][]graph.PairKey, nBundles),
-		baseBroken: map[graph.PairKey]int{},
-		rules:      base.PrefixRulesPerSwitch(),
+		base:    base,
+		banned:  map[int]bool{},
+		pairs:   pairs,
+		cur:     maps.Clone(base.Paths),
+		paths:   make([][]graph.Path, len(pairs)),
+		bundle:  bundle,
+		curUse:  make([][]uint64, nBundles),
+		baseUse: make([][]int32, nBundles),
+		broken:  make([]int32, len(pairs)),
+		rules:   make([]int, g.NumNodes()),
+		adds:    make([]int, g.NumNodes()),
+		dels:    make([]int, g.NumNodes()),
 	}
-	for _, pk := range sortedPairKeys(base.Paths) {
+	for pi, pk := range pairs {
 		paths := base.Paths[pk]
-		it.cur[pk] = paths
-		for _, a := range it.pairAdjSet(paths) {
-			it.baseUse[a] = append(it.baseUse[a], pk)
-			it.addCurUse(a, pk)
+		it.paths[pi] = paths
+		for _, p := range paths {
+			for _, n := range p.Nodes {
+				it.rules[n]++
+			}
 		}
+		it.markUses(int32(pi), paths, true)
+	}
+	for b, row := range it.curUse {
+		n := 0
+		for _, word := range row {
+			n += bits.OnesCount64(word)
+		}
+		it.baseUse[b] = appendUsers(make([]int32, 0, n), row)
 	}
 	return it
 }
@@ -201,8 +268,7 @@ func (it *IncrementalTable) View() *Table {
 // incrementally from the event deltas; always equal to
 // View().PrefixRulesPerSwitch().
 func (it *IncrementalTable) RulesPerSwitch() map[int]int {
-	out := make(map[int]int, len(it.rules))
-	//flatvet:ordered copy into a fresh map; keys do not interact
+	out := map[int]int{}
 	for sw, n := range it.rules {
 		if n != 0 {
 			out[sw] = n
@@ -213,7 +279,7 @@ func (it *IncrementalTable) RulesPerSwitch() map[int]int {
 
 // DegradedPairs returns how many ordered ingress pairs currently run on
 // non-baseline paths.
-func (it *IncrementalTable) DegradedPairs() int { return len(it.baseBroken) }
+func (it *IncrementalTable) DegradedPairs() int { return it.degraded }
 
 // Banned reports whether the link is currently masked.
 func (it *IncrementalTable) Banned(link int) bool { return it.banned[link] }
@@ -228,14 +294,18 @@ func (it *IncrementalTable) Fail(link int) RuleDelta {
 	}
 	start := time.Now()
 	it.banned[link] = true
-	adj := it.bundle[link]
-	for _, pk := range it.baseUse[adj] {
-		it.baseBroken[pk]++
+	b := it.bundle[link]
+	for _, pi := range it.baseUse[b] {
+		if it.broken[pi] == 0 {
+			it.degraded++
+		}
+		it.broken[pi]++
 	}
-	dirty := sortedPairSet(it.curUse[adj])
-	delta := newRuleDelta()
-	it.recompute(dirty, delta)
-	it.emitDelta(delta)
+	// Snapshot the bundle's users: installing new paths edits the row.
+	dirty := appendUsers(it.work[:0], it.curUse[b])
+	it.work = dirty
+	it.recompute(dirty)
+	delta := it.takeDelta()
 	it.finishEvent(len(dirty), start)
 	return delta
 }
@@ -308,138 +378,187 @@ func (it *IncrementalTable) bundleBetween(a, b int) ([]int, error) {
 // masked bundle get the baseline restored outright (banning bundles a
 // Yen result never traverses cannot change it, so no recomputation is
 // needed), while pairs still missing baseline bundles are re-Yen'd — the
-// restored link can offer them a better detour. Returns the per-switch
-// rule delta. Panics if the link is not masked.
+// restored link can offer them a better detour — except those the
+// distance bound proves it cannot (see the package notes above). Returns
+// the per-switch rule delta. Panics if the link is not masked.
 func (it *IncrementalTable) Repair(link int) RuleDelta {
 	if !it.banned[link] {
 		panic(fmt.Sprintf("routing: Repair(%d): link not masked", link))
 	}
 	start := time.Now()
 	delete(it.banned, link)
-	var restored []graph.PairKey
-	for _, pk := range it.baseUse[it.bundle[link]] {
-		it.baseBroken[pk]--
-		if it.baseBroken[pk] == 0 {
-			delete(it.baseBroken, pk)
-			restored = append(restored, pk)
+	restored := 0
+	for _, pi := range it.baseUse[it.bundle[link]] {
+		it.broken[pi]--
+		if it.broken[pi] == 0 {
+			it.degraded--
+			restored++
+			it.install(pi, it.base.Paths[it.pairs[pi]])
 		}
 	}
-	delta := newRuleDelta()
-	for _, pk := range restored {
-		it.install(pk, it.base.Paths[pk], delta)
+	todo := it.work[:0]
+	pruned := 0
+	if it.degraded > 0 {
+		g := it.base.topo.G
+		x := g.Link(link)
+		du := g.BFSDistancesBanned(x.A, it.banned)
+		dv := g.BFSDistancesBanned(x.B, it.banned)
+		k := it.base.K
+		for pi, n := range it.broken {
+			if n == 0 {
+				continue
+			}
+			cur, pk := it.paths[pi], it.pairs[pi]
+			if len(cur) == k && hopsThrough(du, dv, pk.Src, pk.Dst) > cur[k-1].Len() {
+				pruned++
+				continue
+			}
+			todo = append(todo, int32(pi))
+		}
 	}
-	degraded := sortedCountKeys(it.baseBroken)
-	it.recompute(degraded, delta)
-	it.emitDelta(delta)
-	it.finishEvent(len(restored)+len(degraded), start)
+	it.work = todo
+	it.recompute(todo)
+	delta := it.takeDelta()
+	telemetry.C("routing_repair_pruned_pairs_total").Add(int64(pruned))
+	it.finishEvent(restored+len(todo), start)
 	return delta
 }
 
-// emitDelta records one RuleDelta event per touched switch (ascending
-// switch ID, so the track is deterministic) at the caller-set sim time.
-func (it *IncrementalTable) emitDelta(delta RuleDelta) {
-	if it.rec == nil || delta.Empty() {
-		return
+// hopsThrough returns the fewest hops of an s–d walk through the link
+// whose endpoints have the distance arrays du and dv (-1 unreachable),
+// or math.MaxInt when there is none.
+func hopsThrough(du, dv []int, s, d int) int {
+	best := math.MaxInt
+	if du[s] >= 0 && dv[d] >= 0 {
+		best = du[s] + 1 + dv[d]
 	}
-	seen := make(map[int]bool, len(delta.Adds)+len(delta.Dels))
-	switches := make([]int, 0, len(delta.Adds)+len(delta.Dels))
-	//flatvet:ordered keys are collected then sorted
-	for sw := range delta.Adds {
-		if !seen[sw] {
-			seen[sw] = true
-			switches = append(switches, sw)
-		}
+	if dv[s] >= 0 && du[d] >= 0 {
+		best = min(best, dv[s]+1+du[d])
 	}
-	//flatvet:ordered keys are collected then sorted
-	for sw := range delta.Dels {
-		if !seen[sw] {
-			seen[sw] = true
-			switches = append(switches, sw)
-		}
-	}
-	sort.Ints(switches)
-	for _, sw := range switches {
-		it.rec.Emit(recorder.Event{T: it.simTime, Kind: recorder.RuleDelta, ID: sw,
-			A: int64(delta.Adds[sw]), B: int64(delta.Dels[sw])})
-	}
+	return best
 }
 
-// recompute re-runs banned-link Yen for the pairs on the shared worker
-// pool and installs the results. Pair computations are independent and
-// collected by index, so the table is identical for any worker count.
-func (it *IncrementalTable) recompute(pairs []graph.PairKey, delta RuleDelta) {
+// recompute re-runs banned-link Yen for the numbered pairs on the shared
+// worker pool and installs the results. Pair computations are
+// independent and collected by index, so the table is identical for any
+// worker count.
+func (it *IncrementalTable) recompute(pairs []int32) {
 	if len(pairs) == 0 {
 		return
 	}
 	g := it.base.topo.G
 	k := it.base.K
 	results, _ := parallel.Map(parallel.Default(), len(pairs), func(i int) ([]graph.Path, error) {
-		return g.KShortestPathsBanned(pairs[i].Src, pairs[i].Dst, k, it.banned), nil
+		pk := it.pairs[pairs[i]]
+		return g.KShortestPathsBanned(pk.Src, pk.Dst, k, it.banned), nil
 	})
-	for i, pk := range pairs {
-		it.install(pk, results[i], delta)
+	for i, pi := range pairs {
+		it.install(pi, results[i])
 	}
 }
 
-// install replaces a pair's installed paths, folding the content-level
-// rule diff into delta and keeping the use index and rule counts current.
-func (it *IncrementalTable) install(pk graph.PairKey, paths []graph.Path, delta RuleDelta) {
-	old := it.cur[pk]
+// install replaces pair pi's installed paths, folding the content-level
+// rule diff into the event's accumulators and keeping the use index and
+// rule counts current.
+func (it *IncrementalTable) install(pi int32, paths []graph.Path) {
+	old := it.paths[pi]
 	if pathSetsEqual(old, paths) {
 		return
 	}
 	for _, p := range old {
 		if !hasNodes(paths, p.Nodes) {
-			for _, n := range p.Nodes {
-				delta.Dels[n]++
-				it.rules[n]--
-			}
+			it.tally(p.Nodes, it.dels, -1)
 		}
 	}
 	for _, p := range paths {
 		if !hasNodes(old, p.Nodes) {
-			for _, n := range p.Nodes {
-				delta.Adds[n]++
-				it.rules[n]++
-			}
+			it.tally(p.Nodes, it.adds, 1)
 		}
 	}
-	for _, a := range it.pairAdjSet(old) {
-		delete(it.curUse[a], pk)
-	}
-	it.cur[pk] = paths
-	for _, a := range it.pairAdjSet(paths) {
-		it.addCurUse(a, pk)
+	it.markUses(pi, old, false)
+	it.markUses(pi, paths, true)
+	it.paths[pi] = paths
+	it.cur[it.pairs[pi]] = paths
+}
+
+// tally counts one rule per node of a path into acc (the event's adds or
+// dels) and moves the installed counts by sign.
+func (it *IncrementalTable) tally(nodes []int, acc []int, sign int) {
+	for _, n := range nodes {
+		if it.adds[n] == 0 && it.dels[n] == 0 {
+			it.touched = append(it.touched, n)
+		}
+		acc[n]++
+		it.rules[n] += sign
 	}
 }
 
-func (it *IncrementalTable) addCurUse(a int, pk graph.PairKey) {
-	if it.curUse[a] == nil {
-		it.curUse[a] = map[graph.PairKey]struct{}{}
+// markUses sets (or clears) pair pi's bit in the row of every bundle the
+// paths traverse, allocating a row on its bundle's first use.
+func (it *IncrementalTable) markUses(pi int32, paths []graph.Path, set bool) {
+	word, bit := pi/64, uint64(1)<<(pi%64)
+	for _, p := range paths {
+		for _, l := range p.Links {
+			b := it.bundle[l]
+			if !set {
+				it.curUse[b][word] &^= bit
+				continue
+			}
+			if it.curUse[b] == nil {
+				it.curUse[b] = make([]uint64, (len(it.pairs)+63)/64)
+			}
+			it.curUse[b][word] |= bit
+		}
 	}
-	it.curUse[a][pk] = struct{}{}
+}
+
+// appendUsers appends the pair numbers whose bits are set in a bundle's
+// row to dst, ascending.
+func appendUsers(dst []int32, row []uint64) []int32 {
+	for w, word := range row {
+		for ; word != 0; word &= word - 1 {
+			dst = append(dst, int32(w*64+bits.TrailingZeros64(word)))
+		}
+	}
+	return dst
+}
+
+// takeDelta turns the event's accumulators into its RuleDelta, emits one
+// recorder event per touched switch (ascending switch ID, so the track is
+// deterministic) at the caller-set sim time, and clears them.
+func (it *IncrementalTable) takeDelta() RuleDelta {
+	slices.Sort(it.touched)
+	nAdds, nDels := 0, 0
+	for _, n := range it.touched {
+		if it.adds[n] > 0 {
+			nAdds++
+		}
+		if it.dels[n] > 0 {
+			nDels++
+		}
+	}
+	delta := RuleDelta{Adds: make(map[int]int, nAdds), Dels: make(map[int]int, nDels)}
+	for _, n := range it.touched {
+		a, d := it.adds[n], it.dels[n]
+		if a > 0 {
+			delta.Adds[n] = a
+		}
+		if d > 0 {
+			delta.Dels[n] = d
+		}
+		if it.rec != nil {
+			it.rec.Emit(recorder.Event{T: it.simTime, Kind: recorder.RuleDelta, ID: n, A: int64(a), B: int64(d)})
+		}
+		it.adds[n], it.dels[n] = 0, 0
+	}
+	it.touched = it.touched[:0]
+	return delta
 }
 
 func (it *IncrementalTable) finishEvent(dirty int, start time.Time) {
 	telemetry.C("routing_incremental_repairs_total").Inc()
 	telemetry.C("routing_dirty_pairs_total").Add(int64(dirty))
 	telemetry.H("routing_incremental_repair_seconds").Observe(time.Since(start).Seconds())
-}
-
-// pairAdjSet returns the distinct bundles a pair's paths traverse,
-// ascending. The result reuses one buffer and is valid until the next
-// call.
-func (it *IncrementalTable) pairAdjSet(paths []graph.Path) []int {
-	out := it.adjBuf[:0]
-	for _, p := range paths {
-		for _, l := range p.Links {
-			out = append(out, it.bundle[l])
-		}
-	}
-	slices.Sort(out)
-	out = slices.Compact(out)
-	it.adjBuf = out
-	return out
 }
 
 // hasNodes reports whether some path in paths visits exactly the node
@@ -461,41 +580,19 @@ func pathSetsEqual(a, b []graph.Path) bool {
 	})
 }
 
+// sortedPairKeys returns the table's pairs sorted by (Src, Dst) — the
+// pair numbering.
 func sortedPairKeys(m map[graph.PairKey][]graph.Path) []graph.PairKey {
 	keys := make([]graph.PairKey, 0, len(m))
 	//flatvet:ordered keys are collected then sorted
 	for pk := range m {
 		keys = append(keys, pk)
 	}
-	sortPairKeys(keys)
-	return keys
-}
-
-func sortedPairSet(m map[graph.PairKey]struct{}) []graph.PairKey {
-	keys := make([]graph.PairKey, 0, len(m))
-	//flatvet:ordered keys are collected then sorted
-	for pk := range m {
-		keys = append(keys, pk)
-	}
-	sortPairKeys(keys)
-	return keys
-}
-
-func sortedCountKeys(m map[graph.PairKey]int) []graph.PairKey {
-	keys := make([]graph.PairKey, 0, len(m))
-	//flatvet:ordered keys are collected then sorted
-	for pk := range m {
-		keys = append(keys, pk)
-	}
-	sortPairKeys(keys)
-	return keys
-}
-
-func sortPairKeys(keys []graph.PairKey) {
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Src != keys[j].Src {
-			return keys[i].Src < keys[j].Src
+	slices.SortFunc(keys, func(a, b graph.PairKey) int {
+		if a.Src != b.Src {
+			return cmp.Compare(a.Src, b.Src)
 		}
-		return keys[i].Dst < keys[j].Dst
+		return cmp.Compare(a.Dst, b.Dst)
 	})
+	return keys
 }

@@ -3,9 +3,12 @@ package routing
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
+	"flattree/internal/core"
 	"flattree/internal/parallel"
+	"flattree/internal/telemetry"
 	"flattree/internal/topo"
 )
 
@@ -70,6 +73,25 @@ func requireTableEqualsRebuild(t *testing.T, step int, it *IncrementalTable, tp 
 	}
 }
 
+// requireDeltaReconciles asserts that an event's delta transforms the
+// rule state before the event, prev, into the table's rule state after it
+// exactly.
+func requireDeltaReconciles(t *testing.T, step int, it *IncrementalTable, prev map[int]int, delta RuleDelta) {
+	t.Helper()
+	for sw, add := range delta.Adds {
+		prev[sw] += add
+	}
+	for sw, del := range delta.Dels {
+		prev[sw] -= del
+		if prev[sw] == 0 {
+			delete(prev, sw)
+		}
+	}
+	if got := it.RulesPerSwitch(); !reflect.DeepEqual(prev, got) {
+		t.Fatalf("step %d: delta does not reconcile rule states: applied %v, actual %v", step, prev, got)
+	}
+}
+
 // switchLinks returns the IDs of switch-switch links (server uplinks
 // never fail).
 func switchLinks(tp *topo.Topology) []int {
@@ -115,20 +137,7 @@ func driveTrace(t *testing.T, tp *topo.Topology, k, n int, seed int64) {
 			failed = append(failed, l)
 			delta = it.Fail(l)
 		}
-		// The delta must transform the previous rule state into the new
-		// one exactly.
-		for sw, add := range delta.Adds {
-			prevRules[sw] += add
-		}
-		for sw, del := range delta.Dels {
-			prevRules[sw] -= del
-			if prevRules[sw] == 0 {
-				delete(prevRules, sw)
-			}
-		}
-		if got := it.RulesPerSwitch(); !reflect.DeepEqual(prevRules, got) {
-			t.Fatalf("step %d: delta does not reconcile rule states: applied %v, actual %v", step, prevRules, got)
-		}
+		requireDeltaReconciles(t, step, it, prevRules, delta)
 		requireTableEqualsRebuild(t, step, it, tp, banned)
 	}
 	if len(failed) == 0 && it.DegradedPairs() != 0 {
@@ -269,5 +278,121 @@ func TestIncrementalDoesNotMutateBaseline(t *testing.T) {
 		if !reflect.DeepEqual(base.Paths[pk], want) {
 			t.Fatalf("baseline pair %v mutated", pk)
 		}
+	}
+}
+
+// TestIncrementalRepairBoundGlobal drives overlapping failures on mini-1
+// in global mode — 48 ingress switches, 2,256 ordered pairs, k=8 — with
+// one switch link given a parallel twin. For most of its length the
+// seeded trace holds three to six links masked at once, interleaving
+// fails and repairs, so repairs leave pairs degraded and the distance
+// bound decides whether to re-run Yen for them. It masks the twin bundle
+// one link at a time and cuts one switch off entirely, so some degraded
+// pairs hold fewer than k paths (zero) when a repair comes. After every event the table must
+// equal a from-scratch rebuild; over the trace the bound must have kept
+// pairs without Yen, and pairs with fewer than k paths must have been
+// recomputed.
+func TestIncrementalRepairBoundGlobal(t *testing.T) {
+	reg := telemetry.Enable()
+	defer telemetry.Disable()
+	const k = 8
+	tp := mini1Topo(t, core.ModeGlobal)
+	links := switchLinks(tp)
+	twin := tp.AddLink(tp.G.Link(links[0]).A, tp.G.Link(links[0]).B)
+	links = append(links, twin)
+	it := NewIncremental(BuildKShortest(tp, k))
+	if len(it.base.Ingress) != 48 || len(it.pairs) != 2256 {
+		t.Fatalf("%d ingress switches, %d pairs; want 48 and 2256", len(it.base.Ingress), len(it.pairs))
+	}
+
+	// cut is the switch with the fewest switch links; failing all of
+	// them partitions it from the fabric.
+	var cut []int
+	for _, sw := range tp.Switches() {
+		var own []int
+		for _, id := range tp.G.Incident(sw) {
+			if tp.Nodes[tp.G.Link(id).Other(sw)].Kind != topo.Server {
+				own = append(own, id)
+			}
+		}
+		if cut == nil || len(own) < len(cut) {
+			cut = own
+		}
+	}
+
+	rng := rand.New(rand.NewSource(31))
+	banned := map[int]bool{}
+	fewRecomputed := 0
+	step := 0
+	toggle := func(l int) {
+		t.Helper()
+		prevRules := it.RulesPerSwitch()
+		var delta RuleDelta
+		if banned[l] {
+			var few []int
+			for pi, n := range it.broken {
+				if n > 0 && len(it.paths[pi]) < k {
+					few = append(few, pi)
+				}
+			}
+			old := slices.Clone(it.paths)
+			delete(banned, l)
+			delta = it.Repair(l)
+			for _, pi := range few {
+				if it.broken[pi] > 0 && !pathSetsEqual(old[pi], it.paths[pi]) {
+					fewRecomputed++
+				}
+			}
+		} else {
+			banned[l] = true
+			delta = it.Fail(l)
+		}
+		requireDeltaReconciles(t, step, it, prevRules, delta)
+		requireTableEqualsRebuild(t, step, it, tp, banned)
+		step++
+	}
+	randomLink := func(masked bool) int {
+		var pool []int
+		for _, l := range links {
+			if banned[l] == masked {
+				pool = append(pool, l)
+			}
+		}
+		return pool[rng.Intn(len(pool))]
+	}
+
+	// Overlap the twin bundle with two other failures, masking and
+	// restoring its links one at a time.
+	toggle(links[0])
+	toggle(randomLink(false))
+	toggle(randomLink(false))
+	toggle(twin)
+	toggle(links[0])
+	toggle(randomLink(false))
+	toggle(twin)
+	// Cut the switch off with the others still masked, then reconnect it
+	// one link at a time among random fails.
+	for _, l := range cut {
+		if !banned[l] {
+			toggle(l)
+		}
+	}
+	for _, l := range cut {
+		toggle(l)
+		toggle(randomLink(false))
+	}
+	// A random walk holding three to six links masked.
+	for i := 0; i < 24; i++ {
+		n := len(banned)
+		toggle(randomLink(n > 3 && (n >= 6 || rng.Intn(2) == 0)))
+	}
+
+	if n := reg.Counter("routing_repair_pruned_pairs_total").Value(); n == 0 {
+		t.Fatal("the distance bound kept no pair: routing_repair_pruned_pairs_total is 0")
+	} else {
+		t.Logf("%d events: bound kept %d pairs; %d pairs restored or recomputed", step, n, reg.Counter("routing_dirty_pairs_total").Value())
+	}
+	if fewRecomputed == 0 {
+		t.Fatal("no degraded pair with fewer than k paths changed on a repair")
 	}
 }
