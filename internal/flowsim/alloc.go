@@ -36,7 +36,8 @@ type Subflow struct {
 //
 // The computation runs on the struct-of-arrays core (soa.go), admitting
 // each subflow as its own single-path connection; the retained seed
-// allocator (maxMinRatesRef) pins its output bit-for-bit.
+// allocator (maxMinRatesRef in reference_test.go) pins its output
+// bit-for-bit.
 func MaxMinRates(caps []float64, subs []Subflow) ([]float64, error) {
 	rates := make([]float64, len(subs))
 	if len(subs) == 0 {
@@ -75,23 +76,9 @@ func MaxMinRates(caps []float64, subs []Subflow) ([]float64, error) {
 	st.allocate(run)
 	for i, s := range subs {
 		if len(s.Links) == 0 {
-			continue // loopback: rate 0 here, localRate via ConnRates
+			continue // loopback: rate 0 here; a Sim grants it LocalRate
 		}
 		rates[i] = st.sfRate[st.subOff[i]]
 	}
 	return rates, nil
-}
-
-// ConnRates sums subflow rates per connection. nConns is the number of
-// connections; loopback subflows (no links) are granted localRate each.
-func ConnRates(nConns int, subs []Subflow, rates []float64, localRate float64) []float64 {
-	out := make([]float64, nConns)
-	for i, s := range subs {
-		if len(s.Links) == 0 {
-			out[s.Conn] += localRate
-			continue
-		}
-		out[s.Conn] += rates[i]
-	}
-	return out
 }

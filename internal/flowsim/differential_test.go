@@ -24,8 +24,11 @@ type diffScenario struct {
 	events []TopoEvent
 	// horizon, retryBase, retryMax configure the Sim; graceful is set by
 	// Schedule when events exist, or explicitly for stall scenarios.
-	horizon  float64
-	graceful bool
+	horizon             float64
+	retryBase, retryMax float64
+	graceful            bool
+	// rec, when set, records the run (Sim.Rec).
+	rec *recorder.Track
 }
 
 func (sc diffScenario) sim() *Sim {
@@ -35,7 +38,32 @@ func (sc diffScenario) sim() *Sim {
 	}
 	s.Graceful = s.Graceful || sc.graceful
 	s.Horizon = sc.horizon
+	s.RetryBase, s.RetryMax = sc.retryBase, sc.retryMax
+	s.Rec = sc.rec
 	return s
+}
+
+// recorded runs sc through run with a fresh flight recorder attached and
+// returns the results, the recorded events and the error.
+func recorded(sc diffScenario, run func(diffScenario) ([]ConnResult, error)) ([]ConnResult, []recorder.Event, error) {
+	rec := recorder.New(1 << 16)
+	sc.rec = rec.Track("sim")
+	res, err := run(sc)
+	return res, rec.Snapshot()[0].Events, err
+}
+
+// requireSameEvents fails unless two flight-recorder streams match event
+// for event.
+func requireSameEvents(t *testing.T, seed int64, got, want []recorder.Event) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("seed %d: %d recorded events vs %d", seed, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("seed %d: event %d diverged:\n  got:  %+v\n  want: %+v", seed, i, got[i], want[i])
+		}
+	}
 }
 
 // randomPaths draws a path set over nLinks: multipath with short link
@@ -227,6 +255,39 @@ func TestRunDifferentialParallelLinks(t *testing.T) {
 	// The scenario must actually exercise churn machinery.
 	if want[1].StallTime == 0 && want[2].StallTime == 0 {
 		t.Fatalf("scenario lost its stall coverage: %+v", want)
+	}
+}
+
+// TestRunDifferentialRerouteBeyondHorizon aims reroutes at the two
+// connections the loop does not hold: connection 0, retired before its
+// reroute (skipped, uncounted), and connection 3, which arrives after the
+// horizon (both reroutes counted, reported unstarted). Run and RunStream
+// must equal the reference, recorder stream included.
+func TestRunDifferentialRerouteBeyondHorizon(t *testing.T) {
+	sc := diffScenario{
+		caps: []float64{10, 10},
+		specs: []ConnSpec{
+			{Paths: [][]int{{0}}, Bits: 1},                   // retires at 0.1
+			{Paths: [][]int{{0}}, Bits: 4, Arrival: 0.2},     // retires at 0.6
+			{Paths: [][]int{{0}, {1}}, Bits: 60, Arrival: 1}, // cut off by the horizon
+			{Paths: [][]int{{1}}, Bits: 5, Arrival: 5},       // arrives after it
+		},
+		events: []TopoEvent{
+			{Time: 0.5, Reroute: map[int][][]int{0: {{1}}, 3: {{0}}}},
+			{Time: 1.5, Reroute: map[int][][]int{2: {{1}}, 3: {{0}, {1}}}},
+		},
+		horizon: 2,
+	}
+	want, wantEvents, wantErr := recorded(sc, func(sc diffScenario) ([]ConnResult, error) { return sc.sim().runReference() })
+	got, gotEvents, gotErr := recorded(sc, func(sc diffScenario) ([]ConnResult, error) { return sc.sim().Run() })
+	requireIdentical(t, 0, got, want, gotErr, wantErr)
+	requireSameEvents(t, 0, gotEvents, wantEvents)
+	got, gotEvents, gotErr = recorded(sc, func(sc diffScenario) ([]ConnResult, error) { return runStreamed(t, 0, sc) })
+	requireIdentical(t, 0, got, want, gotErr, wantErr)
+	requireSameEvents(t, 0, gotEvents, wantEvents)
+	if want[0].Reroutes != 0 || want[2].Reroutes != 1 || want[3].Reroutes != 2 ||
+		!math.IsInf(want[2].Finish, 1) || !math.IsInf(want[3].Finish, 1) || want[3].Start != 5 {
+		t.Fatalf("scenario lost its coverage: %+v", want)
 	}
 }
 

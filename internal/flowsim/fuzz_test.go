@@ -7,10 +7,11 @@ import (
 // FuzzScheduleRun feeds byte-derived (ConnSpec list, TopoEvent list)
 // scenarios — stalls, retries, reroutes, disconnects, repairs, horizon
 // cutoffs, capacity zeroing, loopback and duplicate-link paths — through
-// both simulator cores and requires identical outcomes. The decoder
-// quantizes every value into the domain both cores define behavior for
-// (finite sizes, non-negative capacities), so any divergence is a core
-// bug, not an input-validation asymmetry. The seed corpus under
+// both simulator cores and requires identical outcomes, then streams the
+// scenario's arrival-sorted copy through RunStream against the reference
+// on that copy. The decoder quantizes every value into the domain both
+// cores define behavior for (finite sizes, non-negative capacities), so
+// any divergence is a core bug, not an input-validation asymmetry. The seed corpus under
 // testdata/fuzz covers each event kind; CI runs a randomized burst on
 // top (see .github/workflows/ci.yml).
 
@@ -105,6 +106,10 @@ func FuzzScheduleRun(f *testing.F) {
 		sc := decodeScenario(data)
 		got, gotErr := sc.sim().Run()
 		want, wantErr := sc.sim().runReference()
+		requireIdentical(t, 0, got, want, gotErr, wantErr)
+		sorted := arrivalSorted(sc)
+		got, gotErr = runStreamed(t, 0, sorted)
+		want, wantErr = sorted.sim().runReference()
 		requireIdentical(t, 0, got, want, gotErr, wantErr)
 	})
 }

@@ -10,14 +10,16 @@ import (
 )
 
 // This file retains the seed simulator core verbatim as an unexported
-// reference implementation. The exported Run/MaxMinRates entry points now
-// execute on the struct-of-arrays core (soa.go, sim.go); the differential
-// suite (differential_test.go, fuzz_test.go) pins the rewrite by requiring
+// reference implementation, compiled only into the tests. The exported
+// Run/RunStream/MaxMinRates entry points execute on the struct-of-arrays
+// core (soa.go, loop.go); the differential suite (differential_test.go,
+// stream_test.go, fuzz_test.go) pins the rewrite by requiring
 // byte-identical ConnResult slices — rates, FCTs, stall times, reroute
 // counts — between the two cores on seeded random workloads, churn traces
-// and fuzz inputs. Nothing here is reachable from production call paths;
-// it exists so "the refactor changed nothing but speed" is a property the
-// test suite enforces rather than a claim in a commit message.
+// and fuzz inputs. It exists so "the refactor changed nothing but speed"
+// is a property the test suite enforces rather than a claim in a commit
+// message. (The seed's Sample hook is gone from Sim, so its call is gone
+// from here too.)
 
 // sortedActive returns the active connection IDs in ascending order. Every
 // per-event loop iterates this slice instead of the active map, so float
@@ -220,9 +222,6 @@ func (s *Sim) runReference() ([]ConnResult, error) {
 			if starved {
 				continue // reallocate without the just-parked connections
 			}
-		}
-		if s.Sample != nil {
-			s.Sample(t, connRates)
 		}
 		// Next event: earliest completion, arrival, topology event, or
 		// stall-retry probe.
@@ -435,4 +434,18 @@ func maxMinRatesRef(caps []float64, subs []Subflow) ([]float64, error) {
 	telemetry.C("flowsim_allocations_total").Inc()
 	telemetry.C("flowsim_alloc_rounds_total").Add(rounds)
 	return rates, nil
+}
+
+// ConnRates sums subflow rates per connection. nConns is the number of
+// connections; loopback subflows (no links) are granted localRate each.
+func ConnRates(nConns int, subs []Subflow, rates []float64, localRate float64) []float64 {
+	out := make([]float64, nConns)
+	for i, s := range subs {
+		if len(s.Links) == 0 {
+			out[s.Conn] += localRate
+			continue
+		}
+		out[s.Conn] += rates[i]
+	}
+	return out
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // This file is the struct-of-arrays allocator core. The seed allocator
-// (reference.go) rebuilt the subflow table and every per-link index on
+// (reference_test.go) rebuilt the subflow table and every per-link index on
 // each call and re-scanned all of caps per progressive-filling round; at
 // 10M flows those rebuilds dominate. The SoA core keeps connections in
 // dense parallel arrays indexed by slot, subflow link lists in one flat
@@ -590,7 +590,8 @@ func (a *allocState) shardedDrain(loaded []int32, best float64, sat []int32) []i
 }
 
 // rate sums slot's subflow rates in path order — the accumulation order
-// ConnRates used — granting loopback subflows localRate.
+// of the seed's ConnRates (reference_test.go) — granting loopback
+// subflows localRate.
 //
 //flatvet:hotpath rate readback after every allocation round
 func (a *allocState) rate(slot int, localRate float64) float64 {

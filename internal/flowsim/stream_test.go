@@ -7,11 +7,11 @@ import (
 	"testing"
 )
 
-// RunStream must be Run with the spec slice factored out: on any workload
-// both can express (arrival-sorted specs, capacity-only events) the two
-// produce byte-identical ConnResults. These tests pin that, plus the
-// stream-only machinery — slot recycling, arena compaction, the
-// nondecreasing-arrival contract, and the unsupported-feature errors.
+// RunStream must be Run with the spec slice factored out: on
+// arrival-sorted specs, where stream ids equal spec indices, the two
+// produce byte-identical ConnResults, reroutes and horizon cut-offs
+// included. These tests pin that, plus the stream-only machinery — slot
+// recycling, arena compaction and the nondecreasing-arrival contract.
 
 // streamScenario builds a seeded capacity-churn workload with specs
 // pre-sorted by arrival, the one ordering constraint RunStream adds.
@@ -71,6 +71,60 @@ func streamScenario(seed int64, withEvents bool) diffScenario {
 	return sc
 }
 
+// streamRerouteScenario is streamScenario(seed, true) plus control-plane
+// reactions: reroutes and disconnects spread over [0, 5), so they reach
+// connections before, during and after their transfers.
+func streamRerouteScenario(seed int64) diffScenario {
+	sc := streamScenario(seed, true)
+	rng := rand.New(rand.NewSource(-seed))
+	for e := 0; e < 1+rng.Intn(4); e++ {
+		ev := TopoEvent{Time: 5 * rng.Float64(), Reroute: map[int][][]int{}}
+		for k := 0; k < 1+rng.Intn(4); k++ {
+			c := rng.Intn(len(sc.specs))
+			if rng.Intn(3) == 0 {
+				ev.Reroute[c] = nil // disconnected until a later reroute
+			} else {
+				ev.Reroute[c] = randomPaths(rng, len(sc.caps))
+			}
+		}
+		sc.events = append(sc.events, ev)
+	}
+	return sc
+}
+
+// arrivalSorted returns sc with its specs stably sorted by arrival and
+// every reroute key remapped through the sort, so the copy can stream
+// with stream ids equal to its spec indices.
+func arrivalSorted(sc diffScenario) diffScenario {
+	order := make([]int, len(sc.specs))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return sc.specs[order[a]].Arrival < sc.specs[order[b]].Arrival })
+	rank := make([]int, len(order))
+	specs := make([]ConnSpec, len(order))
+	for k, i := range order {
+		rank[i] = k
+		specs[k] = sc.specs[i]
+	}
+	out := sc
+	out.specs = specs
+	if sc.events != nil {
+		out.events = make([]TopoEvent, len(sc.events))
+		for e, ev := range sc.events {
+			if ev.Reroute != nil {
+				moved := make(map[int][][]int, len(ev.Reroute))
+				for c, p := range ev.Reroute {
+					moved[rank[c]] = p
+				}
+				ev.Reroute = moved
+			}
+			out.events[e] = ev
+		}
+	}
+	return out
+}
+
 // runStreamed drives RunStream over the scenario's specs and reassembles
 // a Run-shaped result slice from the sink callbacks.
 func runStreamed(t *testing.T, seed int64, sc diffScenario) ([]ConnResult, error) {
@@ -120,6 +174,63 @@ func TestRunStreamDifferentialCapacityChurn(t *testing.T) {
 		want, wantErr := sc.sim().Run()
 		got, gotErr := runStreamed(t, seed, sc)
 		requireIdentical(t, seed, got, want, gotErr, wantErr)
+	}
+}
+
+// TestRunStreamDifferentialReroute adds reroute and disconnect events to
+// the stream workloads: reroutes address stream ids exactly as Run's
+// address spec indices, and the scenarios must reach connections before
+// they arrive and after they retire.
+func TestRunStreamDifferentialReroute(t *testing.T) {
+	early, late := 0, 0
+	for seed := int64(1); seed <= 60; seed++ {
+		sc := streamRerouteScenario(seed)
+		want, wantEvents, wantErr := recorded(sc, func(sc diffScenario) ([]ConnResult, error) { return sc.sim().Run() })
+		got, gotEvents, gotErr := recorded(sc, func(sc diffScenario) ([]ConnResult, error) { return runStreamed(t, seed, sc) })
+		requireIdentical(t, seed, got, want, gotErr, wantErr)
+		requireSameEvents(t, seed, gotEvents, wantEvents)
+		if wantErr != nil {
+			t.Fatalf("seed %d: %v", seed, wantErr)
+		}
+		for _, ev := range sc.events {
+			for c := range ev.Reroute {
+				switch {
+				case ev.Time < want[c].Start:
+					early++
+				case ev.Time > want[c].Finish:
+					late++
+				}
+			}
+		}
+	}
+	if early == 0 || late == 0 {
+		t.Fatalf("reroutes before arrival %d, after retirement %d: want both", early, late)
+	}
+}
+
+// TestRunStreamHorizonCut stops the stream workloads at t=1.5, halfway
+// through their arrivals: every connection must still reach the sink
+// exactly once (runStreamed checks), the unstarted ones with Finish =
+// +Inf and their pre-arrival reroutes counted, as Run reports them.
+func TestRunStreamHorizonCut(t *testing.T) {
+	unstarted, rerouted := 0, 0
+	for seed := int64(1); seed <= 40; seed++ {
+		sc := streamRerouteScenario(seed)
+		sc.horizon = 1.5
+		want, wantErr := sc.sim().Run()
+		got, gotErr := runStreamed(t, seed, sc)
+		requireIdentical(t, seed, got, want, gotErr, wantErr)
+		for _, r := range want {
+			if r.Start > sc.horizon {
+				unstarted++
+				if r.Reroutes > 0 {
+					rerouted++
+				}
+			}
+		}
+	}
+	if unstarted == 0 || rerouted == 0 {
+		t.Fatalf("%d connections arrived after the horizon, %d of them rerouted: want both", unstarted, rerouted)
 	}
 }
 
@@ -198,21 +309,6 @@ func TestCompactPreservesAllocation(t *testing.T) {
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("connection %d: compacted rate %.17g, fresh %.17g", i, got, want)
 		}
-	}
-}
-
-func TestRunStreamRejectsUnsupported(t *testing.T) {
-	s := NewSim([]float64{10}, nil)
-	s.Sample = func(float64, []float64) {}
-	err := s.RunStream(func() (ConnSpec, bool) { return ConnSpec{}, false }, func(int, ConnResult) {})
-	if err == nil {
-		t.Fatal("Sample accepted")
-	}
-	s = NewSim([]float64{10}, nil)
-	s.Schedule([]TopoEvent{{Time: 1, Reroute: map[int][][]int{0: {{0}}}}})
-	err = s.RunStream(func() (ConnSpec, bool) { return ConnSpec{}, false }, func(int, ConnResult) {})
-	if err == nil {
-		t.Fatal("Reroute event accepted")
 	}
 }
 
