@@ -17,8 +17,6 @@ import (
 	"flattree/internal/traffic"
 )
 
-const k = 4
-
 func main() {
 	clos := flattree.ClosParams{
 		Name: "hybrid", Pods: 4, EdgesPerPod: 4, AggsPerPod: 4,
@@ -79,14 +77,7 @@ func throughput(nw *flattree.Network, pairs []traffic.Pair) (float64, error) {
 	servers := t.Servers()
 	specs := make([]flowsim.ConnSpec, 0, len(pairs))
 	for _, pr := range pairs {
-		paths := table.ServerPaths(servers[pr.Src], servers[pr.Dst])
-		if len(paths) > k {
-			paths = paths[:k]
-		}
-		dp := make([][]int, len(paths))
-		for i, p := range paths {
-			dp[i] = routing.DirectedLinkIDs(t.G, p)
-		}
+		dp := table.ServerSlots(servers[pr.Src], servers[pr.Dst])
 		specs = append(specs, flowsim.ConnSpec{Paths: dp, Bits: math.Inf(1)})
 	}
 	rates, err := flowsim.StaticRates(routing.DirectedCaps(t.G), specs, 10)

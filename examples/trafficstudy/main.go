@@ -68,14 +68,7 @@ func replay(nw *flattree.Network, flows []traffic.Flow) ([]float64, error) {
 	caps := routing.DirectedCaps(t.G)
 	specs := make([]flowsim.ConnSpec, 0, len(flows))
 	for _, f := range flows {
-		paths := table.ServerPaths(servers[f.Src], servers[f.Dst])
-		if len(paths) > k {
-			paths = paths[:k]
-		}
-		dp := make([][]int, len(paths))
-		for i, p := range paths {
-			dp[i] = routing.DirectedLinkIDs(t.G, p)
-		}
+		dp := table.ServerSlots(servers[f.Src], servers[f.Dst])
 		specs = append(specs, flowsim.ConnSpec{Paths: dp, Bits: f.Bits, Arrival: f.Arrival})
 	}
 	results, err := flowsim.NewSim(caps, specs).Run()

@@ -180,7 +180,8 @@ func TestSourceRouteWalk(t *testing.T) {
 	r := nw.Realize()
 	tb := routing.BuildKShortest(r.Topo, 4)
 	checked := 0
-	for pair, paths := range tb.Paths {
+	for i, paths := range tb.Paths {
+		pair := tb.Pair(i)
 		for _, p := range paths {
 			ports, err := RouteForPath(r.Topo, p)
 			if err != nil {

@@ -45,14 +45,7 @@ func connsFor(tb *testbed.Testbed, flows [][3]float64) ([]flowsim.ConnSpec, []fl
 	specs := make([]flowsim.ConnSpec, 0, len(flows))
 	for _, f := range flows {
 		src, dst, bits := int(f[0]), int(f[1]), f[2]
-		paths := table.ServerPaths(servers[src], servers[dst])
-		if len(paths) > testbed.K {
-			paths = paths[:testbed.K]
-		}
-		dp := make([][]int, len(paths))
-		for i, p := range paths {
-			dp[i] = routing.DirectedLinkIDs(r.Topo.G, p)
-		}
+		dp := table.ServerSlots(servers[src], servers[dst])
 		specs = append(specs, flowsim.ConnSpec{Paths: dp, Bits: bits})
 	}
 	return specs, caps

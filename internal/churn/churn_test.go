@@ -1,6 +1,7 @@
 package churn
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -236,19 +237,51 @@ func TestChurnDisconnection(t *testing.T) {
 	}
 }
 
-// TestCompileErrors covers the engine's validation paths.
+// TestCompileErrors pins the engine's validation errors. A trace event
+// takes its link from the route table's masking rule, so its error is the
+// table's, stamped with the event time.
 func TestCompileErrors(t *testing.T) {
 	tp := exampleTopo(t, core.ModeClos)
 	e := exampleEngine(tp)
-	if _, err := e.Compile(nil, []Conn{{Src: 0, Dst: 1, Bits: 1}}); err == nil {
-		t.Fatal("non-server endpoints accepted")
-	}
 	servers := tp.Servers()
 	conns := []Conn{{Src: servers[0], Dst: servers[1], Bits: 1}}
-	if _, err := e.Compile(Trace{{Time: 0, A: tp.Edges()[0], B: tp.Aggs()[0], Repair: true}}, conns); err == nil {
-		t.Fatal("repair of healthy link accepted")
+	edge, agg := tp.Edges()[0], tp.Aggs()[0]
+	// Failing every link of the edge-agg bundle, then one more.
+	var exhaust Trace
+	for _, id := range tp.G.Incident(edge) {
+		if tp.G.Link(id).Other(edge) == agg {
+			exhaust = append(exhaust, Event{Time: float64(len(exhaust)), A: edge, B: agg})
+		}
 	}
-	if _, err := e.Compile(Trace{{Time: 0, A: servers[0], B: servers[1]}}, conns); err == nil {
-		t.Fatal("failing a nonexistent adjacency accepted")
+	exhaust = append(exhaust, Event{Time: float64(len(exhaust)), A: agg, B: edge})
+	cases := []struct {
+		name           string
+		trace          Trace
+		conns          []Conn
+		expectExactErr string
+	}{
+		{name: "non-server endpoint", conns: []Conn{{Src: 0, Dst: 1, Bits: 1}},
+			expectExactErr: "churn: connection 0 endpoint 0 is not a server"},
+		{name: "repair of healthy link", trace: Trace{{Time: 0.5, A: edge, B: agg, Repair: true}},
+			expectExactErr: fmt.Sprintf("churn: event at t=0.5: routing: no masked link between %d and %d", edge, agg)},
+		{name: "server endpoint", trace: Trace{{Time: 1, A: servers[0], B: servers[1]}},
+			expectExactErr: fmt.Sprintf("churn: event at t=1: routing: node %d is a server; server uplinks do not fail", servers[0])},
+		{name: "no adjacency", trace: Trace{{Time: 2, A: edge, B: tp.Edges()[1]}},
+			expectExactErr: fmt.Sprintf("churn: event at t=2: routing: no link between %d and %d", edge, tp.Edges()[1])},
+		{name: "node out of range", trace: Trace{{Time: 3, A: edge, B: len(tp.Nodes)}},
+			expectExactErr: fmt.Sprintf("churn: event at t=3: routing: node %d out of range [0, %d)", len(tp.Nodes), len(tp.Nodes))},
+		{name: "no surviving link", trace: exhaust,
+			expectExactErr: fmt.Sprintf("churn: event at t=%d: routing: no surviving link between %d and %d", len(exhaust)-1, agg, edge)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.conns == nil {
+				tc.conns = conns
+			}
+			_, err := e.Compile(tc.trace, tc.conns)
+			if err == nil || err.Error() != tc.expectExactErr {
+				t.Fatalf("error = %v, want %q", err, tc.expectExactErr)
+			}
+		})
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"flattree/internal/control"
 	"flattree/internal/flowsim"
-	"flattree/internal/graph"
 	"flattree/internal/recorder"
 	"flattree/internal/routing"
 	"flattree/internal/telemetry"
@@ -94,18 +93,6 @@ func (e *Engine) Compile(trace Trace, conns []Conn) (*Plan, error) {
 			}
 		}
 	}
-	// Parallel-link inventory: original link IDs per switch adjacency,
-	// ascending — the masking rule fails the lowest surviving ID first,
-	// matching control.pruneFailures.
-	linksByPair := make(map[[2]int][]int)
-	for id, l := range t.G.Links() {
-		if t.Nodes[l.A].Kind == topo.Server || t.Nodes[l.B].Kind == topo.Server {
-			continue
-		}
-		key := pairKey(l.A, l.B)
-		linksByPair[key] = append(linksByPair[key], id)
-	}
-
 	table := routing.BuildKShortestCached(t, k)
 	inc := routing.NewIncremental(table)
 	inc.SetRecorder(e.Rec)
@@ -113,7 +100,7 @@ func (e *Engine) Compile(trace Trace, conns []Conn) (*Plan, error) {
 	specs := make([]flowsim.ConnSpec, len(conns))
 	installed := make([][][]int, len(conns))
 	for i, c := range conns {
-		dp := serverSlots(view, t.G, c.Src, c.Dst, k)
+		dp := view.ServerSlots(c.Src, c.Dst)
 		if len(dp) == 0 {
 			return nil, fmt.Errorf("churn: no path between servers %d and %d on the healthy topology", c.Src, c.Dst)
 		}
@@ -121,42 +108,20 @@ func (e *Engine) Compile(trace Trace, conns []Conn) (*Plan, error) {
 		installed[i] = dp
 	}
 
-	failed := make(map[[2]int]int)
-	deadSlots := make(map[int]bool)
 	var events []flowsim.TopoEvent
 	reactions := make([]float64, 0, len(trace))
 	deltas := make([]routing.RuleDelta, 0, len(trace))
 	for _, ev := range trace {
-		key := pairKey(ev.A, ev.B)
-		ids := linksByPair[key]
-		var link int
-		if ev.Repair {
-			if failed[key] == 0 {
-				return nil, fmt.Errorf("churn: repair of healthy link %d-%d at t=%v", ev.A, ev.B, ev.Time)
-			}
-			failed[key]--
-			if failed[key] == 0 {
-				delete(failed, key)
-			}
-			link = ids[failed[key]] // the most recently masked parallel link
-		} else {
-			if failed[key] >= len(ids) {
-				return nil, fmt.Errorf("churn: no surviving link between %d and %d at t=%v", ev.A, ev.B, ev.Time)
-			}
-			link = ids[failed[key]]
-			failed[key]++
+		// The table's masking rule picks the link, as it does for flatd.
+		link, err := inc.LinkBetween(ev.A, ev.B, ev.Repair)
+		if err != nil {
+			return nil, fmt.Errorf("churn: event at t=%v: %w", ev.Time, err)
 		}
-		cap := 0.0
+		cap, kind := 0.0, recorder.LinkFail
 		if ev.Repair {
-			cap = t.G.Link(link).Capacity
-			delete(deadSlots, 2*link)
-			delete(deadSlots, 2*link+1)
-			e.Rec.Emit(recorder.Event{T: ev.Time, Kind: recorder.LinkRepair, ID: link, A: int64(ev.A), B: int64(ev.B)})
-		} else {
-			deadSlots[2*link] = true
-			deadSlots[2*link+1] = true
-			e.Rec.Emit(recorder.Event{T: ev.Time, Kind: recorder.LinkFail, ID: link, A: int64(ev.A), B: int64(ev.B)})
+			cap, kind = t.G.Link(link).Capacity, recorder.LinkRepair
 		}
+		e.Rec.Emit(recorder.Event{T: ev.Time, Kind: kind, ID: link, A: int64(ev.A), B: int64(ev.B)})
 		events = append(events, flowsim.TopoEvent{
 			Time:    ev.Time,
 			SetCaps: map[int]float64{2 * link: cap, 2*link + 1: cap},
@@ -182,10 +147,10 @@ func (e *Engine) Compile(trace Trace, conns []Conn) (*Plan, error) {
 		reroute := make(map[int][][]int)
 		for i, c := range conns {
 			cur := installed[i]
-			if len(cur) > 0 && !crossesDead(cur, deadSlots) {
+			if len(cur) > 0 && !crossesMasked(cur, inc) {
 				continue // stale but intact: flows keep working paths
 			}
-			np := serverSlots(view, t.G, c.Src, c.Dst, k)
+			np := view.ServerSlots(c.Src, c.Dst)
 			if pathsEqual(cur, np) {
 				continue
 			}
@@ -200,20 +165,6 @@ func (e *Engine) Compile(trace Trace, conns []Conn) (*Plan, error) {
 	}
 	sort.SliceStable(events, func(a, b int) bool { return events[a].Time < events[b].Time })
 	return &Plan{Specs: specs, Events: events, Reactions: reactions, Deltas: deltas}, nil
-}
-
-// serverSlots returns up to k server-to-server paths of the table as
-// directed slot lists on g (routing.DirectedLinkIDs).
-func serverSlots(table *routing.Table, g *graph.Graph, src, dst, k int) [][]int {
-	paths := table.ServerPaths(src, dst)
-	if len(paths) > k {
-		paths = paths[:k]
-	}
-	out := make([][]int, len(paths))
-	for i, p := range paths {
-		out[i] = routing.DirectedLinkIDs(g, p)
-	}
-	return out
 }
 
 // ReactionTime prices one link event's control-plane reaction: detection
@@ -231,11 +182,12 @@ func ReactionTime(detection float64, delta routing.RuleDelta, d control.DelayMod
 	return detection + float64(delta.TotalDels())*d.PerRuleDelete + float64(delta.TotalAdds())*d.PerRuleAdd
 }
 
-// crossesDead reports whether any path uses a masked directed slot.
-func crossesDead(paths [][]int, dead map[int]bool) bool {
+// crossesMasked reports whether any directed slot list crosses a link
+// the table currently masks.
+func crossesMasked(paths [][]int, inc *routing.IncrementalTable) bool {
 	for _, p := range paths {
 		for _, s := range p {
-			if dead[s] {
+			if inc.Banned(s / 2) {
 				return true
 			}
 		}

@@ -160,7 +160,7 @@ func TestCompileMatchesFullRebuild(t *testing.T) {
 	base := routing.BuildKShortest(tp, e.K)
 	installed := make([][][]int, len(conns))
 	for i, c := range conns {
-		installed[i] = directedServerPaths(base, tp.G, nil, c.Src, c.Dst, e.K)
+		installed[i] = directedServerPaths(base, nil, c.Src, c.Dst)
 	}
 	failed := make(map[[2]int]int)
 	deadSlots := make(map[int]bool)
@@ -204,7 +204,7 @@ func TestCompileMatchesFullRebuild(t *testing.T) {
 			if len(cur) > 0 && !crossesDead(cur, deadSlots) {
 				continue
 			}
-			np := directedServerPaths(ref, pruned.G, linkMap, c.Src, c.Dst, e.K)
+			np := directedServerPaths(ref, linkMap, c.Src, c.Dst)
 			if pathsEqual(cur, np) {
 				continue
 			}

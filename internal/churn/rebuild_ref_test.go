@@ -3,7 +3,6 @@ package churn
 import (
 	"maps"
 
-	"flattree/internal/graph"
 	"flattree/internal/routing"
 	"flattree/internal/topo"
 )
@@ -47,11 +46,11 @@ func pruneWithMap(t *topo.Topology, failed map[[2]int]int) (*topo.Topology, []in
 	return out, linkMap
 }
 
-// directedServerPaths returns up to k server-to-server paths as directed
-// slot lists in the ORIGINAL graph's numbering. linkMap translates the
-// table's graph g to the original; nil means the table is already on it.
-func directedServerPaths(table *routing.Table, g *graph.Graph, linkMap []int, src, dst, k int) [][]int {
-	out := serverSlots(table, g, src, dst, k)
+// directedServerPaths returns the table's server-to-server paths as
+// directed slot lists in the ORIGINAL graph's numbering. linkMap translates
+// the table's graph to the original; nil means the table is already on it.
+func directedServerPaths(table *routing.Table, linkMap []int, src, dst int) [][]int {
+	out := table.ServerSlots(src, dst)
 	if linkMap != nil {
 		for _, dp := range out {
 			for i, slot := range dp {
@@ -60,4 +59,16 @@ func directedServerPaths(table *routing.Table, g *graph.Graph, linkMap []int, sr
 		}
 	}
 	return out
+}
+
+// crossesDead reports whether any path uses a masked directed slot.
+func crossesDead(paths [][]int, dead map[int]bool) bool {
+	for _, p := range paths {
+		for _, s := range p {
+			if dead[s] {
+				return true
+			}
+		}
+	}
+	return false
 }

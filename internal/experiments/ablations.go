@@ -206,7 +206,7 @@ func (c Config) AblationK() ([]AblationKRow, error) {
 	pairs := traffic.Permutation(cp.TotalServers(), c.Seed)
 	var rows []AblationKRow
 	for _, k := range ks {
-		specs := mptcpSpecs(r.Topo, table.WithK(k), pairs, k)
+		specs := mptcpSpecs(r.Topo, table.WithK(k), pairs)
 		rates, err := flowsimStatic(r, specs)
 		if err != nil {
 			return nil, err

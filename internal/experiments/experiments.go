@@ -196,21 +196,14 @@ func commoditiesFor(t *topo.Topology, pairs []traffic.Pair) []mcf.Commodity {
 	return out
 }
 
-// mptcpSpecs builds MPTCP connection specs (k paths, directed links) for
-// server-index pairs. Persistent connections are used for throughput
-// experiments (bits = +Inf).
-func mptcpSpecs(t *topo.Topology, table *routing.Table, pairs []traffic.Pair, k int) []flowsim.ConnSpec {
+// mptcpSpecs builds MPTCP connection specs (every table path, directed
+// links) for server-index pairs. Persistent connections are used for
+// throughput experiments (bits = +Inf).
+func mptcpSpecs(t *topo.Topology, table *routing.Table, pairs []traffic.Pair) []flowsim.ConnSpec {
 	servers := t.Servers()
 	specs := make([]flowsim.ConnSpec, 0, len(pairs))
 	for _, pr := range pairs {
-		paths := table.ServerPaths(servers[pr.Src], servers[pr.Dst])
-		if len(paths) > k {
-			paths = paths[:k]
-		}
-		dp := make([][]int, len(paths))
-		for i, p := range paths {
-			dp[i] = routing.DirectedLinkIDs(t.G, p)
-		}
+		dp := table.ServerSlots(servers[pr.Src], servers[pr.Dst])
 		specs = append(specs, flowsim.ConnSpec{Paths: dp, Bits: math.Inf(1)})
 	}
 	return specs
@@ -284,7 +277,7 @@ func (c Config) methodThroughputs(t *topo.Topology, table *routing.Table, pairs 
 	case LPAvg:
 		return c.lpSolve(t, pairs, "total")
 	case MPTCP4, MPTCP8, MPTCP12:
-		specs := mptcpSpecs(t, table.WithK(m.K()), pairs, m.K())
+		specs := mptcpSpecs(t, table.WithK(m.K()), pairs)
 		return flowsim.StaticRates(routing.DirectedCaps(t.G), specs, topo.DefaultLinkCapacity)
 	case ECMPTCP:
 		servers := t.Servers()

@@ -64,17 +64,10 @@ func (c Config) AblationFailures() ([]FailureRow, error) {
 			servers := t.Servers()
 			var specs []flowsim.ConnSpec
 			for _, pr := range pairs {
-				paths := table.ServerPaths(servers[pr.Src], servers[pr.Dst])
-				if len(paths) > 8 {
-					paths = paths[:8]
-				}
-				if len(paths) == 0 {
+				dp := table.ServerSlots(servers[pr.Src], servers[pr.Dst])
+				if len(dp) == 0 {
 					row.Disconnected++
 					continue
-				}
-				dp := make([][]int, len(paths))
-				for i, pp := range paths {
-					dp[i] = routing.DirectedLinkIDs(t.G, pp)
 				}
 				specs = append(specs, flowsim.ConnSpec{Paths: dp, Bits: math.Inf(1)})
 			}

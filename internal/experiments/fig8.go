@@ -7,7 +7,6 @@ import (
 
 	"flattree/internal/core"
 	"flattree/internal/flowsim"
-	"flattree/internal/graph"
 	"flattree/internal/metrics"
 	"flattree/internal/parallel"
 	"flattree/internal/routing"
@@ -177,23 +176,16 @@ func (c Config) Fig8With(workloads []string, networks []Fig8Network) (*Fig8Resul
 		}
 		specs := make([]flowsim.ConnSpec, 0, len(flows))
 		for fi, f := range flows {
-			var paths []graph.Path
+			var dp [][]int
 			if n == FTClosECMP {
 				p, ok := st.table.ECMPServerPath(st.servers[f.Src], st.servers[f.Dst],
 					routing.FlowHash(f.Src, f.Dst, fi))
 				if !ok {
 					return fmt.Errorf("fig8: no ECMP path for flow %d", fi)
 				}
-				paths = []graph.Path{p}
+				dp = [][]int{routing.DirectedLinkIDs(st.topo.G, p)}
 			} else {
-				paths = st.table.ServerPaths(st.servers[f.Src], st.servers[f.Dst])
-				if len(paths) > Fig8K {
-					paths = paths[:Fig8K]
-				}
-			}
-			dp := make([][]int, len(paths))
-			for i, p := range paths {
-				dp[i] = routing.DirectedLinkIDs(st.topo.G, p)
+				dp = st.table.ServerSlots(st.servers[f.Src], st.servers[f.Dst])
 			}
 			specs = append(specs, flowsim.ConnSpec{Paths: dp, Bits: f.Bits, Arrival: f.Arrival})
 		}

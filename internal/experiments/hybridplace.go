@@ -133,14 +133,7 @@ func (c Config) hybridMeasure(p topo.ClosParams, label string, modes []core.Mode
 			if j == i {
 				continue
 			}
-			paths := table.ServerPaths(servers[ids[i]], servers[ids[j]])
-			if len(paths) > 8 {
-				paths = paths[:8]
-			}
-			dp := make([][]int, len(paths))
-			for k, pp := range paths {
-				dp[k] = routing.DirectedLinkIDs(r.Topo.G, pp)
-			}
+			dp := table.ServerSlots(servers[ids[i]], servers[ids[j]])
 			specs = append(specs, flowsim.ConnSpec{Paths: dp, Bits: math.Inf(1)})
 			owner = append(owner, t.Name)
 		}

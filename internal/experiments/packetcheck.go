@@ -56,14 +56,7 @@ func (c Config) AblationPacket() ([]PacketCheckRow, error) {
 		var fluidSpecs []flowsim.ConnSpec
 		var pktSpecs []packetsim.FlowSpec
 		for _, pr := range tb.IPerfPairs() {
-			paths := table.ServerPaths(servers[pr[0]], servers[pr[1]])
-			if len(paths) > testbed.K {
-				paths = paths[:testbed.K]
-			}
-			dp := make([][]int, len(paths))
-			for i, p := range paths {
-				dp[i] = routing.DirectedLinkIDs(r.Topo.G, p)
-			}
+			dp := table.ServerSlots(servers[pr[0]], servers[pr[1]])
 			fluidSpecs = append(fluidSpecs, flowsim.ConnSpec{Paths: dp, Bits: math.Inf(1)})
 			pktSpecs = append(pktSpecs, packetsim.FlowSpec{Paths: dp, Bits: math.Inf(1)})
 		}
@@ -154,14 +147,7 @@ func (c Config) AblationPacketFCT() ([]PacketFCTRow, error) {
 		var fluidSpecs []flowsim.ConnSpec
 		var pktSpecs []packetsim.FlowSpec
 		for _, f := range flows {
-			paths := table.ServerPaths(servers[f.Src], servers[f.Dst])
-			if len(paths) > testbed.K {
-				paths = paths[:testbed.K]
-			}
-			dp := make([][]int, len(paths))
-			for i, p := range paths {
-				dp[i] = routing.DirectedLinkIDs(r.Topo.G, p)
-			}
+			dp := table.ServerSlots(servers[f.Src], servers[f.Dst])
 			fluidSpecs = append(fluidSpecs, flowsim.ConnSpec{Paths: dp, Bits: f.Bits, Arrival: f.Arrival})
 			// The packet replica scales rates and sizes together, so
 			// completion times are directly comparable. Traffic sizes are

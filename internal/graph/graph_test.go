@@ -231,9 +231,9 @@ func TestKShortestAllPairs(t *testing.T) {
 	if len(got) != len(pairs) {
 		t.Fatalf("got %d entries, want %d", len(got), len(pairs))
 	}
-	for _, pk := range pairs {
+	for i, pk := range pairs {
 		seq := g.KShortestPaths(pk.Src, pk.Dst, 3)
-		par := got[pk]
+		par := got[i]
 		if len(seq) != len(par) {
 			t.Fatalf("pair %v: %d vs %d paths", pk, len(par), len(seq))
 		}

@@ -124,22 +124,21 @@ type PairKey struct{ Src, Dst int }
 
 // KShortestAllPairs computes k-shortest paths for every ordered pair in
 // pairs on the shared bounded worker pool (at most parallel.DefaultWorkers
-// goroutines, whatever the pair count). The result maps each pair to its
-// path list. Pair computations are independent, mirroring the paper's note
-// that k-shortest-path routing parallelizes trivially (§4.3); each task
-// takes its own search scratch from the pool, and results are collected by
-// index, so the table is identical for any worker count.
-func (g *Graph) KShortestAllPairs(pairs []PairKey, k int) map[PairKey][]Path {
+// goroutines, whatever the pair count). The result holds each pair's path
+// list at the pair's index in pairs. Pair computations are independent,
+// mirroring the paper's note that k-shortest-path routing parallelizes
+// trivially (§4.3); each task takes its own search scratch from the pool,
+// and results are collected by index, so the table is identical for any
+// worker count.
+func (g *Graph) KShortestAllPairs(pairs []PairKey, k int) [][]Path {
 	results, _ := parallel.Map(parallel.Default(), len(pairs), func(i int) ([]Path, error) {
 		return g.KShortestPaths(pairs[i].Src, pairs[i].Dst, k), nil
 	})
-	out := make(map[PairKey][]Path, len(pairs))
 	var nPaths int64
-	for i, p := range pairs {
-		out[p] = results[i]
-		nPaths += int64(len(results[i]))
+	for _, paths := range results {
+		nPaths += int64(len(paths))
 	}
 	telemetry.C("graph_yen_pairs_total").Add(int64(len(pairs)))
 	telemetry.C("graph_yen_paths_total").Add(nPaths)
-	return out
+	return results
 }

@@ -89,7 +89,7 @@ func TestKShortestAllPairsDeterministicAcrossWorkerCounts(t *testing.T) {
 		}
 	}
 
-	run := func(workers int) map[PairKey][]Path {
+	run := func(workers int) [][]Path {
 		parallel.SetDefaultWorkers(workers)
 		defer parallel.SetDefaultWorkers(0)
 		return g.KShortestAllPairs(pairs, 3)

@@ -29,6 +29,21 @@ func mini1Topo(tb testing.TB, mode core.Mode) *topo.Topology {
 	return nw.Realize().Topo
 }
 
+// benchTable keeps BenchmarkBuildKShortest's result live.
+var benchTable *Table
+
+// BenchmarkBuildKShortest builds mini-1's global-mode table at k=8
+// (48 ingress switches, 2,256 pairs) without the cache: the build behind
+// every controller reinstall, uncached experiment cell and flatd start.
+func BenchmarkBuildKShortest(b *testing.B) {
+	tp := mini1Topo(b, core.ModeGlobal)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchTable = BuildKShortest(tp, 8)
+	}
+}
+
 func BenchmarkRepairIncremental(b *testing.B) {
 	tp := mini1Topo(b, core.ModeClos)
 	base := BuildKShortest(tp, 8)

@@ -1,9 +1,7 @@
 package routing
 
 import (
-	"cmp"
 	"fmt"
-	"maps"
 	"math"
 	"math/bits"
 	"slices"
@@ -74,11 +72,9 @@ import (
 // leaves every other discovery, predecessor and relative queue position
 // unchanged (graph's scratch.search carries the argument).
 //
-// Bookkeeping is indexed by pair number — the ordered ingress pairs in
-// sorted order, numbered once per table — so an event's bookkeeping
-// touches slices and bitsets, and the only PairKey map it writes is the
-// one View serves, once per changed pair. Walking a bundle's bitset row
-// visits its pairs already sorted.
+// Bookkeeping is indexed by the table's pair number (Table.Pair), so an
+// event's bookkeeping touches slices and bitsets only. Walking a bundle's
+// bitset row visits its pairs already sorted.
 
 // RuleDelta is the per-switch forwarding-rule diff of one link event
 // under ingress/egress prefix aggregation: how many rules each switch
@@ -140,13 +136,9 @@ type IncrementalTable struct {
 	// banned is the set of currently masked link IDs on the original
 	// graph.
 	banned map[int]bool
-	// pairs numbers the ordered ingress pairs in sorted order; every
-	// per-pair slice below is indexed by that number.
-	pairs []graph.PairKey
-	// cur holds the installed paths per ordered ingress pair, the map View
-	// serves; entries of clean pairs alias the baseline's slices. paths
-	// holds the same slices by pair number.
-	cur   map[graph.PairKey][]graph.Path
+	// paths holds the installed paths by pair number (Table.Pair), the
+	// slice View serves; entries of clean pairs alias the baseline's.
+	// Every per-pair slice below is indexed by the same number.
 	paths [][]graph.Path
 	// bundle maps each link ID of the original graph to its bundle: the
 	// dense index of its normalized (low, high) endpoint pair, numbered in
@@ -211,24 +203,19 @@ func bundleTable(g *graph.Graph) ([]int, int) {
 func NewIncremental(base *Table) *IncrementalTable {
 	g := base.topo.G
 	bundle, nBundles := bundleTable(g)
-	pairs := sortedPairKeys(base.Paths)
 	it := &IncrementalTable{
 		base:    base,
 		banned:  map[int]bool{},
-		pairs:   pairs,
-		cur:     maps.Clone(base.Paths),
-		paths:   make([][]graph.Path, len(pairs)),
+		paths:   slices.Clone(base.Paths),
 		bundle:  bundle,
 		curUse:  make([][]uint64, nBundles),
 		baseUse: make([][]int32, nBundles),
-		broken:  make([]int32, len(pairs)),
+		broken:  make([]int32, len(base.Paths)),
 		rules:   make([]int, g.NumNodes()),
 		adds:    make([]int, g.NumNodes()),
 		dels:    make([]int, g.NumNodes()),
 	}
-	for pi, pk := range pairs {
-		paths := base.Paths[pk]
-		it.paths[pi] = paths
+	for pi, paths := range it.paths {
 		for _, p := range paths {
 			for _, n := range p.Nodes {
 				it.rules[n]++
@@ -259,9 +246,11 @@ func (it *IncrementalTable) SetSimTime(t float64) { it.simTime = t }
 
 // View returns the installed table as a *Table sharing the incremental
 // state: it reflects every Fail/Repair applied so far and remains live
-// through future events. Callers needing a frozen table must copy it.
+// through future events. Callers needing a frozen table must copy it; a
+// copy of Paths suffices, as an event replaces a pair's path slice and
+// never edits one in place.
 func (it *IncrementalTable) View() *Table {
-	return &Table{K: it.base.K, Ingress: it.base.Ingress, Paths: it.cur, topo: it.base.topo}
+	return &Table{K: it.base.K, Ingress: it.base.Ingress, Paths: it.paths, topo: it.base.topo}
 }
 
 // RulesPerSwitch returns the installed per-switch rule counts, maintained
@@ -310,42 +299,34 @@ func (it *IncrementalTable) Fail(link int) RuleDelta {
 	return delta
 }
 
-// FailBetween masks one link of the (a, b) adjacency following the
-// churn-engine masking rule — the lowest-ID surviving link of the bundle
-// fails first — and returns the masked link ID with the event's per-switch
-// rule delta. Unlike Fail it validates its input (flatd's /events/link
-// feeds it operator requests): the endpoints must be switches joined by at
-// least one surviving link. As long as every event on the adjacency goes
-// through FailBetween/RepairBetween the masked set is always a prefix of
-// the bundle's ascending link IDs, exactly the sequence churn.Engine
-// compiles, so deltas here are byte-identical to the offline path.
-func (it *IncrementalTable) FailBetween(a, b int) (int, RuleDelta, error) {
+// LinkBetween returns the link of the (a, b) adjacency that the masking
+// rule picks: to fail, the lowest-ID surviving link of the bundle; to
+// repair, the highest-ID masked one. The caller then masks it with Fail or
+// restores it with Repair. While every event on an adjacency goes through
+// LinkBetween, its masked links are a prefix of the bundle's ascending
+// IDs, so the churn engine and flatd mask the same link for the same
+// event sequence. Unlike Fail and Repair it validates its input (flatd's
+// /events/link feeds it operator requests): the endpoints must be
+// switches joined by a link that can take the event.
+func (it *IncrementalTable) LinkBetween(a, b int, repair bool) (int, error) {
 	ids, err := it.bundleBetween(a, b)
 	if err != nil {
-		return 0, RuleDelta{}, err
+		return 0, err
+	}
+	if repair {
+		for i := len(ids) - 1; i >= 0; i-- {
+			if it.banned[ids[i]] {
+				return ids[i], nil
+			}
+		}
+		return 0, fmt.Errorf("routing: no masked link between %d and %d", a, b)
 	}
 	for _, id := range ids {
 		if !it.banned[id] {
-			return id, it.Fail(id), nil
+			return id, nil
 		}
 	}
-	return 0, RuleDelta{}, fmt.Errorf("routing: no surviving link between %d and %d", a, b)
-}
-
-// RepairBetween unmasks the most recently masked link of the (a, b)
-// adjacency (the masking rule's inverse: highest masked ID first) and
-// returns the restored link ID with the event's per-switch rule delta.
-func (it *IncrementalTable) RepairBetween(a, b int) (int, RuleDelta, error) {
-	ids, err := it.bundleBetween(a, b)
-	if err != nil {
-		return 0, RuleDelta{}, err
-	}
-	for i := len(ids) - 1; i >= 0; i-- {
-		if it.banned[ids[i]] {
-			return ids[i], it.Repair(ids[i]), nil
-		}
-	}
-	return 0, RuleDelta{}, fmt.Errorf("routing: no masked link between %d and %d", a, b)
+	return 0, fmt.Errorf("routing: no surviving link between %d and %d", a, b)
 }
 
 // bundleBetween validates an adjacency request and returns its link IDs
@@ -393,7 +374,7 @@ func (it *IncrementalTable) Repair(link int) RuleDelta {
 		if it.broken[pi] == 0 {
 			it.degraded--
 			restored++
-			it.install(pi, it.base.Paths[it.pairs[pi]])
+			it.install(pi, it.base.Paths[pi])
 		}
 	}
 	todo := it.work[:0]
@@ -408,7 +389,7 @@ func (it *IncrementalTable) Repair(link int) RuleDelta {
 			if n == 0 {
 				continue
 			}
-			cur, pk := it.paths[pi], it.pairs[pi]
+			cur, pk := it.paths[pi], it.base.Pair(pi)
 			if len(cur) == k && hopsThrough(du, dv, pk.Src, pk.Dst) > cur[k-1].Len() {
 				pruned++
 				continue
@@ -449,7 +430,7 @@ func (it *IncrementalTable) recompute(pairs []int32) {
 	g := it.base.topo.G
 	k := it.base.K
 	results, _ := parallel.Map(parallel.Default(), len(pairs), func(i int) ([]graph.Path, error) {
-		pk := it.pairs[pairs[i]]
+		pk := it.base.Pair(int(pairs[i]))
 		return g.KShortestPathsBanned(pk.Src, pk.Dst, k, it.banned), nil
 	})
 	for i, pi := range pairs {
@@ -478,7 +459,6 @@ func (it *IncrementalTable) install(pi int32, paths []graph.Path) {
 	it.markUses(pi, old, false)
 	it.markUses(pi, paths, true)
 	it.paths[pi] = paths
-	it.cur[it.pairs[pi]] = paths
 }
 
 // tally counts one rule per node of a path into acc (the event's adds or
@@ -505,7 +485,7 @@ func (it *IncrementalTable) markUses(pi int32, paths []graph.Path, set bool) {
 				continue
 			}
 			if it.curUse[b] == nil {
-				it.curUse[b] = make([]uint64, (len(it.pairs)+63)/64)
+				it.curUse[b] = make([]uint64, (len(it.paths)+63)/64)
 			}
 			it.curUse[b][word] |= bit
 		}
@@ -578,21 +558,4 @@ func pathSetsEqual(a, b []graph.Path) bool {
 	return slices.EqualFunc(a, b, func(x, y graph.Path) bool {
 		return slices.Equal(x.Nodes, y.Nodes) && slices.Equal(x.Links, y.Links)
 	})
-}
-
-// sortedPairKeys returns the table's pairs sorted by (Src, Dst) — the
-// pair numbering.
-func sortedPairKeys(m map[graph.PairKey][]graph.Path) []graph.PairKey {
-	keys := make([]graph.PairKey, 0, len(m))
-	//flatvet:ordered keys are collected then sorted
-	for pk := range m {
-		keys = append(keys, pk)
-	}
-	slices.SortFunc(keys, func(a, b graph.PairKey) int {
-		if a.Src != b.Src {
-			return cmp.Compare(a.Src, b.Src)
-		}
-		return cmp.Compare(a.Dst, b.Dst)
-	})
-	return keys
 }

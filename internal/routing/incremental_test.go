@@ -184,6 +184,54 @@ func TestIncrementalDifferentialParallelLinks(t *testing.T) {
 	driveTrace(t, tp, 3, 250, 5)
 }
 
+// TestLinkBetweenMaskingRule pins the masking rule the churn engine and
+// flatd share: a fail takes the bundle's lowest-ID surviving link, a
+// repair its highest-ID masked one, in either endpoint order, and a
+// direction with no link left is an error. A link masked out of that
+// order by a direct Fail leaves the rule as it is.
+func TestLinkBetweenMaskingRule(t *testing.T) {
+	tp := parallelLinkTopo()
+	it := NewIncremental(BuildKShortest(tp, 3))
+	const e0, a0 = 0, 3 // joined by links 0 and 1
+	steps := []struct {
+		a, b           int
+		repair         bool
+		want           int
+		expectExactErr string
+	}{
+		{a: e0, b: a0, want: 0},
+		{a: a0, b: e0, want: 1},
+		{a: e0, b: a0, expectExactErr: "routing: no surviving link between 0 and 3"},
+		{a: a0, b: e0, repair: true, want: 1},
+		{a: e0, b: a0, repair: true, want: 0},
+		{a: a0, b: e0, repair: true, expectExactErr: "routing: no masked link between 3 and 0"},
+	}
+	for i, st := range steps {
+		link, err := it.LinkBetween(st.a, st.b, st.repair)
+		if st.expectExactErr != "" {
+			if err == nil || err.Error() != st.expectExactErr {
+				t.Fatalf("step %d: error = %v, want %q", i, err, st.expectExactErr)
+			}
+			continue
+		}
+		if err != nil || link != st.want {
+			t.Fatalf("step %d: LinkBetween = %d, %v; want link %d", i, link, err, st.want)
+		}
+		if st.repair {
+			it.Repair(link)
+		} else {
+			it.Fail(link)
+		}
+	}
+	it.Fail(1)
+	if link, err := it.LinkBetween(e0, a0, false); err != nil || link != 0 {
+		t.Fatalf("fail with link 1 masked directly = %d, %v; want link 0", link, err)
+	}
+	if link, err := it.LinkBetween(e0, a0, true); err != nil || link != 1 {
+		t.Fatalf("repair with link 1 masked directly = %d, %v; want link 1", link, err)
+	}
+}
+
 // TestIncrementalZeroAffectedFailure pins the §4.3 no-op case: masking a
 // link whose switch pair no installed path traverses yields an empty
 // delta and leaves the table untouched.
@@ -301,8 +349,8 @@ func TestIncrementalRepairBoundGlobal(t *testing.T) {
 	twin := tp.AddLink(tp.G.Link(links[0]).A, tp.G.Link(links[0]).B)
 	links = append(links, twin)
 	it := NewIncremental(BuildKShortest(tp, k))
-	if len(it.base.Ingress) != 48 || len(it.pairs) != 2256 {
-		t.Fatalf("%d ingress switches, %d pairs; want 48 and 2256", len(it.base.Ingress), len(it.pairs))
+	if len(it.base.Ingress) != 48 || len(it.paths) != 2256 {
+		t.Fatalf("%d ingress switches, %d pairs; want 48 and 2256", len(it.base.Ingress), len(it.paths))
 	}
 
 	// cut is the switch with the fewest switch links; failing all of

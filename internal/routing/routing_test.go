@@ -1,9 +1,12 @@
 package routing
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"flattree/internal/core"
+	"flattree/internal/graph"
 	"flattree/internal/telemetry"
 	"flattree/internal/topo"
 )
@@ -67,6 +70,77 @@ func TestServerPaths(t *testing.T) {
 		if !p.Valid(r.Topo.G) {
 			t.Fatalf("invalid server path %v", p.Nodes)
 		}
+	}
+
+	// ServerSlots is every server path as directed slots, on a fabric with
+	// parallel links.
+	tp := parallelLinkTopo()
+	ptb := BuildKShortest(tp, 3)
+	for _, s := range tp.Servers() {
+		for _, d := range tp.Servers() {
+			if s == d {
+				continue
+			}
+			want := [][]int{}
+			for _, p := range ptb.ServerPaths(s, d) {
+				want = append(want, DirectedLinkIDs(tp.G, p))
+			}
+			if got := ptb.ServerSlots(s, d); !reflect.DeepEqual(got, want) {
+				t.Fatalf("ServerSlots(%d, %d) = %v, want %v", s, d, got, want)
+			}
+		}
+	}
+}
+
+// TestTablePairNumbering pins the pair numbering Paths is indexed by, on
+// mini-1 in global mode (every switch an ingress switch) and in Clos mode
+// (edges only): pairs run in strictly increasing (Src, Dst) order, each
+// pair's paths join its endpoints, SwitchPaths finds them by number, and a
+// node that is not an ingress switch has none.
+func TestTablePairNumbering(t *testing.T) {
+	for _, tc := range []struct {
+		mode       core.Mode
+		ingress    int
+		notIngress func(tp *topo.Topology) []int
+	}{
+		{core.ModeGlobal, 48, func(tp *topo.Topology) []int { return tp.Servers()[:1] }},
+		{core.ModeClos, 16, func(tp *topo.Topology) []int { return []int{tp.Aggs()[0], tp.Servers()[0]} }},
+	} {
+		t.Run(tc.mode.String(), func(t *testing.T) {
+			tp := mini1Topo(t, tc.mode)
+			tb := BuildKShortest(tp, 2)
+			if s := len(tb.Ingress); s != tc.ingress || len(tb.Paths) != s*(s-1) {
+				t.Fatalf("%d ingress switches, %d pairs; want %d and %d", s, len(tb.Paths), tc.ingress, tc.ingress*(tc.ingress-1))
+			}
+			var prev graph.PairKey
+			for i, paths := range tb.Paths {
+				pk := tb.Pair(i)
+				if i > 0 && (pk.Src < prev.Src || pk.Src == prev.Src && pk.Dst <= prev.Dst) {
+					t.Fatalf("pair %d = %v does not follow pair %d = %v", i, pk, i-1, prev)
+				}
+				prev = pk
+				for _, p := range paths {
+					if p.Nodes[0] != pk.Src || p.Nodes[len(p.Nodes)-1] != pk.Dst {
+						t.Fatalf("pair %d = %v holds path %v", i, pk, p.Nodes)
+					}
+				}
+				if got := tb.SwitchPaths(pk.Src, pk.Dst); len(got) == 0 || &got[0] != &paths[0] {
+					t.Fatalf("SwitchPaths%v is not Paths[%d]", pk, i)
+				}
+			}
+			sw := tb.Ingress[0]
+			for _, n := range tc.notIngress(tp) {
+				if got := tb.SwitchPaths(n, sw); got != nil {
+					t.Fatalf("SwitchPaths(%d, %d) = %v from a non-ingress node", n, sw, got)
+				}
+				if got := tb.SwitchPaths(sw, n); got != nil {
+					t.Fatalf("SwitchPaths(%d, %d) = %v to a non-ingress node", sw, n, got)
+				}
+			}
+			if got := tb.SwitchPaths(sw, sw); len(got) != 1 || got[0].Len() != 0 || !slices.Equal(got[0].Nodes, []int{sw}) {
+				t.Fatalf("SwitchPaths(%d, %d) = %v, want one zero-length path", sw, sw, got)
+			}
+		})
 	}
 }
 

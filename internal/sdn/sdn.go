@@ -233,7 +233,8 @@ func NaiveRuleCount(t *topo.Topology, table *routing.Table) int {
 		perServer[t.AttachedSwitch(s)]++
 	}
 	total := 0
-	for pair, paths := range table.Paths {
+	for i, paths := range table.Paths {
+		pair := table.Pair(i)
 		nPairs := perServer[pair.Src] * perServer[pair.Dst]
 		hops := 0
 		for _, p := range paths {

@@ -298,8 +298,8 @@ type linkEventRequest struct {
 	// Action is "fail" or "repair".
 	Action string `json:"action"`
 	// A and B are the switch endpoints of the affected adjacency; the
-	// daemon picks the exact parallel link by the churn engine's masking
-	// rule (fail the lowest surviving ID, repair the most recent).
+	// route table's masking rule, which the churn engine shares, picks
+	// the parallel link (routing.IncrementalTable.LinkBetween).
 	A int `json:"a"`
 	B int `json:"b"`
 }
@@ -351,22 +351,16 @@ func (s *Server) handleLinkEvent(w http.ResponseWriter, r *http.Request) {
 func (s *Server) applyLinkEvent(req linkEventRequest) (linkEventResponse, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var (
-		link  int
-		delta routing.RuleDelta
-		err   error
-	)
-	if req.Action == "fail" {
-		link, delta, err = s.inc.FailBetween(req.A, req.B)
-	} else {
-		link, delta, err = s.inc.RepairBetween(req.A, req.B)
-	}
+	link, err := s.inc.LinkBetween(req.A, req.B, req.Action == "repair")
 	if err != nil {
 		return linkEventResponse{}, err
 	}
+	var delta routing.RuleDelta
 	if req.Action == "fail" {
+		delta = s.inc.Fail(link)
 		s.failed[link] = [2]int{req.A, req.B}
 	} else {
+		delta = s.inc.Repair(link)
 		delete(s.failed, link)
 	}
 	s.events++

@@ -26,6 +26,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"sync"
@@ -48,10 +49,12 @@ type Config struct {
 	// route table (default 8, matching the churn experiment).
 	K int
 	// Detection is the failure-detection latency priced into every link
-	// event's reaction time, in seconds (default 0.05).
+	// event's reaction time, in seconds (default 0.05); finite and
+	// non-negative.
 	Detection float64
 	// Delay prices rule updates for quotes and link events. The zero value
 	// selects control.TestbedDelayModel with parallel switch configuration.
+	// Every duration in it must be finite and non-negative.
 	Delay control.DelayModel
 	// Registry receives request spans, counters, and /metrics output; nil
 	// uses the process-global registry (which may be disabled).
@@ -101,6 +104,22 @@ func New(cfg Config) (*Server, error) {
 	if cfg.K < 1 {
 		return nil, fmt.Errorf("service: k = %d", cfg.K)
 	}
+	if badSeconds(cfg.Detection) {
+		return nil, fmt.Errorf("service: Config.Detection %v (want finite >= 0; zero uses the default)", cfg.Detection)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"OCSReconfig", cfg.Delay.OCSReconfig},
+		{"PerRuleDelete", cfg.Delay.PerRuleDelete},
+		{"PerRuleAdd", cfg.Delay.PerRuleAdd},
+		{"Ramp", cfg.Delay.Ramp},
+	} {
+		if badSeconds(f.v) {
+			return nil, fmt.Errorf("service: Config.Delay.%s %v (want finite >= 0)", f.name, f.v)
+		}
+	}
 	if cfg.Detection == 0 {
 		cfg.Detection = 0.05
 	}
@@ -133,6 +152,11 @@ func New(cfg Config) (*Server, error) {
 		failed: map[int][2]int{},
 	}, nil
 }
+
+// badSeconds reports whether a configured duration is NaN, infinite or
+// negative: a NaN reaction time fails response encoding, a negative one
+// prices an event below zero.
+func badSeconds(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) || v < 0 }
 
 // Run serves on the established listener until ctx is cancelled, then
 // shuts down gracefully: the listener closes immediately, in-flight

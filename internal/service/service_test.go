@@ -7,6 +7,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -114,6 +115,71 @@ func switchLink(t *testing.T, tp *topo.Topology) (int, int) {
 	}
 	t.Fatal("no switch-to-switch link in test topology")
 	return 0, 0
+}
+
+// TestNewRejectsBadConfig pins New's exact error for each config it
+// refuses. A NaN detection or delay used to reach the link-event pricing:
+// the event was applied, then its response failed to encode; a negative
+// one priced a reaction below zero. Zero keeps its documented meaning:
+// the default.
+func TestNewRejectsBadConfig(t *testing.T) {
+	type testcase struct {
+		name           string
+		cfg            Config
+		noNetwork      bool
+		expectExactErr string
+		expectFn       func(t *testing.T, srv *Server)
+	}
+	delay := func(edit func(d *control.DelayModel)) control.DelayModel {
+		d := testDelay()
+		edit(&d)
+		return d
+	}
+	cases := []testcase{
+		{name: "nil network", noNetwork: true,
+			expectExactErr: "service: Config.Network is required"},
+		{name: "negative k", cfg: Config{K: -1},
+			expectExactErr: "service: k = -1"},
+		{name: "nan detection", cfg: Config{Detection: math.NaN()},
+			expectExactErr: "service: Config.Detection NaN (want finite >= 0; zero uses the default)"},
+		{name: "infinite detection", cfg: Config{Detection: math.Inf(1)},
+			expectExactErr: "service: Config.Detection +Inf (want finite >= 0; zero uses the default)"},
+		{name: "negative detection", cfg: Config{Detection: -1},
+			expectExactErr: "service: Config.Detection -1 (want finite >= 0; zero uses the default)"},
+		{name: "nan ocs reconfig", cfg: Config{Delay: delay(func(d *control.DelayModel) { d.OCSReconfig = math.NaN() })},
+			expectExactErr: "service: Config.Delay.OCSReconfig NaN (want finite >= 0)"},
+		{name: "negative rule delete", cfg: Config{Delay: delay(func(d *control.DelayModel) { d.PerRuleDelete = -0.001 })},
+			expectExactErr: "service: Config.Delay.PerRuleDelete -0.001 (want finite >= 0)"},
+		{name: "nan rule add", cfg: Config{Delay: delay(func(d *control.DelayModel) { d.PerRuleAdd = math.NaN() })},
+			expectExactErr: "service: Config.Delay.PerRuleAdd NaN (want finite >= 0)"},
+		{name: "infinite ramp", cfg: Config{Delay: delay(func(d *control.DelayModel) { d.Ramp = math.Inf(-1) })},
+			expectExactErr: "service: Config.Delay.Ramp -Inf (want finite >= 0)"},
+		{name: "zero keeps its meaning", cfg: Config{Detection: 0, Delay: control.DelayModel{}},
+			expectFn: func(t *testing.T, srv *Server) {
+				if srv.cfg.Detection != 0.05 || srv.cfg.Delay != testDelay() {
+					t.Fatalf("zero config defaulted to detection %v, delay %+v", srv.cfg.Detection, srv.cfg.Delay)
+				}
+			}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if !tc.noNetwork {
+				tc.cfg.Network = testNetwork(t)
+			}
+			tc.cfg.Registry = telemetry.NewRegistry()
+			srv, err := New(tc.cfg)
+			if tc.expectExactErr != "" {
+				if err == nil || err.Error() != tc.expectExactErr {
+					t.Fatalf("error = %v, want %q", err, tc.expectExactErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.expectFn(t, srv)
+		})
+	}
 }
 
 func TestHealthz(t *testing.T) {
@@ -267,26 +333,47 @@ func TestLinkEventDifferential(t *testing.T) {
 	}
 }
 
+// TestLinkEventErrors pins each rejected link event's status and exact
+// error body. The 422 bodies are the route table's LinkBetween errors.
 func TestLinkEventErrors(t *testing.T) {
 	srv := newTestServer(t)
 	a, b := switchLink(t, srv.topo)
 	servers := srv.topo.Servers()
+	n := len(srv.topo.Nodes)
 	cases := []struct {
-		name, body string
-		status     int
+		name, body     string
+		status         int
+		expectExactErr string
 	}{
-		{"bad action", fmt.Sprintf(`{"action":"toggle","a":%d,"b":%d}`, a, b), http.StatusBadRequest},
-		{"unknown field", `{"action":"fail","a":0,"b":1,"x":2}`, http.StatusBadRequest},
-		{"not json", `fail a b`, http.StatusBadRequest},
-		{"repair healthy", fmt.Sprintf(`{"action":"repair","a":%d,"b":%d}`, a, b), http.StatusUnprocessableEntity},
-		{"server endpoint", fmt.Sprintf(`{"action":"fail","a":%d,"b":%d}`, servers[0], a), http.StatusUnprocessableEntity},
-		{"no adjacency", fmt.Sprintf(`{"action":"fail","a":%d,"b":%d}`, a, a), http.StatusUnprocessableEntity},
+		{"bad action", fmt.Sprintf(`{"action":"toggle","a":%d,"b":%d}`, a, b), http.StatusBadRequest,
+			`action "toggle" must be "fail" or "repair"`},
+		{"unknown field", `{"action":"fail","a":0,"b":1,"x":2}`, http.StatusBadRequest,
+			`request body: json: unknown field "x"`},
+		{"not json", `fail a b`, http.StatusBadRequest,
+			`request body: invalid character 'i' in literal false (expecting 'l')`},
+		{"repair healthy", fmt.Sprintf(`{"action":"repair","a":%d,"b":%d}`, a, b), http.StatusUnprocessableEntity,
+			fmt.Sprintf("routing: no masked link between %d and %d", a, b)},
+		{"server endpoint", fmt.Sprintf(`{"action":"fail","a":%d,"b":%d}`, servers[0], a), http.StatusUnprocessableEntity,
+			fmt.Sprintf("routing: node %d is a server; server uplinks do not fail", servers[0])},
+		{"no adjacency", fmt.Sprintf(`{"action":"fail","a":%d,"b":%d}`, a, a), http.StatusUnprocessableEntity,
+			fmt.Sprintf("routing: no link between %d and %d", a, a)},
+		{"out of range", fmt.Sprintf(`{"action":"fail","a":%d,"b":%d}`, a, n), http.StatusUnprocessableEntity,
+			fmt.Sprintf("routing: node %d out of range [0, %d)", n, n)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			code, body := do(t, srv, http.MethodPost, "/events/link", tc.body)
 			if code != tc.status {
 				t.Fatalf("status = %d, want %d; body %s", code, tc.status, body)
+			}
+			var got struct {
+				Error string `json:"error"`
+			}
+			if err := json.Unmarshal(body, &got); err != nil {
+				t.Fatalf("body %s: %v", body, err)
+			}
+			if got.Error != tc.expectExactErr {
+				t.Fatalf("error = %q, want %q", got.Error, tc.expectExactErr)
 			}
 		})
 	}

@@ -47,11 +47,10 @@ func (tb *Testbed) steadyExcludingPods(excluded map[int]bool) (float64, error) {
 		if excluded[pr[0]/perPod] || excluded[pr[1]/perPod] {
 			continue
 		}
-		paths := table.ServerPaths(servers[pr[0]], servers[pr[1]])
-		if len(paths) > K {
-			paths = paths[:K]
-		}
-		specs = append(specs, flowsim.ConnSpec{Paths: directedPaths(r, paths), Bits: math.Inf(1)})
+		specs = append(specs, flowsim.ConnSpec{
+			Paths: table.ServerSlots(servers[pr[0]], servers[pr[1]]),
+			Bits:  math.Inf(1),
+		})
 	}
 	if len(specs) == 0 {
 		return 0, nil

@@ -12,7 +12,6 @@ import (
 	"flattree/internal/control"
 	"flattree/internal/core"
 	"flattree/internal/flowsim"
-	"flattree/internal/graph"
 	"flattree/internal/ocs"
 	"flattree/internal/routing"
 )
@@ -105,12 +104,8 @@ func (tb *Testbed) steadyCoreBandwidth() (float64, error) {
 	var specs []flowsim.ConnSpec
 	servers := r.Topo.Servers()
 	for _, pr := range tb.IPerfPairs() {
-		paths := table.ServerPaths(servers[pr[0]], servers[pr[1]])
-		if len(paths) > K {
-			paths = paths[:K]
-		}
 		specs = append(specs, flowsim.ConnSpec{
-			Paths: directedPaths(r, paths),
+			Paths: table.ServerSlots(servers[pr[0]], servers[pr[1]]),
 			Bits:  math.Inf(1),
 		})
 	}
@@ -123,16 +118,6 @@ func (tb *Testbed) steadyCoreBandwidth() (float64, error) {
 		total += r
 	}
 	return total * MPTCPEfficiency, nil
-}
-
-// directedPaths converts paths to directed capacity-slot lists (full-duplex
-// link model).
-func directedPaths(r *core.Realization, paths []graph.Path) [][]int {
-	out := make([][]int, len(paths))
-	for i, p := range paths {
-		out[i] = routing.DirectedLinkIDs(r.Topo.G, p)
-	}
-	return out
 }
 
 // Sample is one 0.5-second iPerf report: time and summed bidirectional
