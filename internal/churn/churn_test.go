@@ -239,10 +239,12 @@ func TestChurnDisconnection(t *testing.T) {
 
 // TestCompileErrors pins the engine's validation errors. A trace event
 // takes its link from the route table's masking rule, so its error is the
-// table's, stamped with the event time.
+// table's, stamped with the event time. A NaN, infinite or negative
+// reaction duration fails before any routing, with flatd's check
+// (control.BadDuration): NaN would surface only as flowsim's event-time
+// error, and a negative detection landed reroutes before t=0.
 func TestCompileErrors(t *testing.T) {
 	tp := exampleTopo(t, core.ModeClos)
-	e := exampleEngine(tp)
 	servers := tp.Servers()
 	conns := []Conn{{Src: servers[0], Dst: servers[1], Bits: 1}}
 	edge, agg := tp.Edges()[0], tp.Aggs()[0]
@@ -256,10 +258,25 @@ func TestCompileErrors(t *testing.T) {
 	exhaust = append(exhaust, Event{Time: float64(len(exhaust)), A: agg, B: edge})
 	cases := []struct {
 		name           string
+		engine         func(e *Engine)
 		trace          Trace
 		conns          []Conn
 		expectExactErr string
 	}{
+		{name: "nan detection", engine: func(e *Engine) { e.Detection = math.NaN() },
+			expectExactErr: "churn: Engine.Detection NaN (want finite >= 0)"},
+		{name: "infinite detection", engine: func(e *Engine) { e.Detection = math.Inf(1) },
+			expectExactErr: "churn: Engine.Detection +Inf (want finite >= 0)"},
+		{name: "negative detection", engine: func(e *Engine) { e.Detection = -1 },
+			expectExactErr: "churn: Engine.Detection -1 (want finite >= 0)"},
+		{name: "infinite ocs reconfig", engine: func(e *Engine) { e.Delay.OCSReconfig = math.Inf(1) },
+			expectExactErr: "churn: Engine.Delay.OCSReconfig +Inf (want finite >= 0)"},
+		{name: "negative rule delete", engine: func(e *Engine) { e.Delay.PerRuleDelete = -0.001 },
+			expectExactErr: "churn: Engine.Delay.PerRuleDelete -0.001 (want finite >= 0)"},
+		{name: "nan rule add", engine: func(e *Engine) { e.Delay.PerRuleAdd = math.NaN() },
+			expectExactErr: "churn: Engine.Delay.PerRuleAdd NaN (want finite >= 0)"},
+		{name: "negative infinite ramp", engine: func(e *Engine) { e.Delay.Ramp = math.Inf(-1) },
+			expectExactErr: "churn: Engine.Delay.Ramp -Inf (want finite >= 0)"},
 		{name: "non-server endpoint", conns: []Conn{{Src: 0, Dst: 1, Bits: 1}},
 			expectExactErr: "churn: connection 0 endpoint 0 is not a server"},
 		{name: "repair of healthy link", trace: Trace{{Time: 0.5, A: edge, B: agg, Repair: true}},
@@ -277,6 +294,10 @@ func TestCompileErrors(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.conns == nil {
 				tc.conns = conns
+			}
+			e := exampleEngine(tp)
+			if tc.engine != nil {
+				tc.engine(e)
 			}
 			_, err := e.Compile(tc.trace, tc.conns)
 			if err == nil || err.Error() != tc.expectExactErr {

@@ -32,7 +32,8 @@ type Engine struct {
 	// connection at each reroute; zero defaults to 8.
 	K int
 	// Detection is the failure-detection latency before the controller
-	// starts updating rules, in seconds.
+	// starts updating rules, in seconds. Compile rejects NaN, infinite and
+	// negative values here and in Delay's durations.
 	Detection float64
 	// Delay prices the rule updates with §4.3's conversion constants: the
 	// reaction to an event costs Detection plus the rule-delete and
@@ -84,6 +85,9 @@ func (e *Engine) k() int {
 // event; a reaction landing after a later trace event is a deliberate
 // approximation of a controller acting on slightly stale state.
 func (e *Engine) Compile(trace Trace, conns []Conn) (*Plan, error) {
+	if field, v, bad := control.BadDuration(e.Detection, e.Delay); bad {
+		return nil, fmt.Errorf("churn: Engine.%s %v (want finite >= 0)", field, v)
+	}
 	t := e.Topo
 	k := e.k()
 	for i, c := range conns {

@@ -142,21 +142,74 @@ func applyTraceEvent(failed map[[2]int]int, ev Event) {
 // times), hence identical flowsim output.
 func TestCompileMatchesFullRebuild(t *testing.T) {
 	tp := exampleTopo(t, core.ModeClos)
-	e := exampleEngine(tp)
 	servers := tp.Servers()
 	var conns []Conn
 	for _, pr := range traffic.Permutation(len(servers), 3) {
 		conns = append(conns, Conn{Src: servers[pr.Src], Dst: servers[pr.Dst], Bits: 10})
 	}
-	trace := GenerateTrace(tp, 6, 1.0, 0.4, 29)
+	requireMatchesFullRebuild(t, exampleEngine(tp), GenerateTrace(tp, 6, 1.0, 0.4, 29), conns)
+}
+
+// TestCompileMatchesFullRebuildParallelBundle runs the same differential
+// on a trace that masks both links of a parallel bundle: fail both,
+// repair one, fail it again, then repair both. Which twin each event
+// masks or restores is the masking rule (IncrementalTable.LinkBetween);
+// the reference picks it from the per-adjacency count alone, so a rule
+// that failed the highest surviving twin, or repaired the lowest masked
+// one, moves a capacity event here.
+func TestCompileMatchesFullRebuildParallelBundle(t *testing.T) {
+	tp := parallelChurnTopo()
+	e0, a0 := 0, 3 // the first parallel bundle: links 0 and 1
+	servers := tp.Servers()
+	var conns []Conn
+	for _, src := range servers {
+		for _, dst := range servers {
+			if src != dst {
+				conns = append(conns, Conn{Src: src, Dst: dst, Bits: 10})
+			}
+		}
+	}
+	trace := Trace{
+		{Time: 0.1, A: e0, B: a0},
+		{Time: 0.2, A: a0, B: e0},
+		{Time: 0.3, A: e0, B: a0, Repair: true},
+		{Time: 0.4, A: e0, B: a0},
+		{Time: 0.5, A: a0, B: e0, Repair: true},
+		{Time: 0.6, A: e0, B: a0, Repair: true},
+	}
+	plan := requireMatchesFullRebuild(t, exampleEngine(tp), trace, conns)
+	// Coverage: both twins go down, and the failures break installed
+	// paths, so the reroutes are compared too.
+	masked := map[int]bool{}
+	reroutes := 0
+	for _, ev := range plan.Events {
+		for slot, c := range ev.SetCaps {
+			if c == 0 {
+				masked[slot/2] = true
+			}
+		}
+		if len(ev.Reroute) > 0 {
+			reroutes++
+		}
+	}
+	if !masked[0] || !masked[1] || reroutes == 0 {
+		t.Fatalf("trace lost its coverage: masked links %v, %d reroute events", masked, reroutes)
+	}
+}
+
+// requireMatchesFullRebuild compiles trace with e and fails unless the
+// plan's simulator events equal the full-rebuild reference's. The
+// reference is the pre-incremental engine body — full pruned rebuild and
+// linkMap translation per event — reusing the plan's reaction delays
+// (pricing is covered by the dedicated pricing tests). It masks an
+// adjacency's links in ascending ID order and restores them in reverse.
+func requireMatchesFullRebuild(t *testing.T, e *Engine, trace Trace, conns []Conn) *Plan {
+	t.Helper()
+	tp := e.Topo
 	plan, err := e.Compile(trace, conns)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Reference: the pre-incremental engine body — full pruned rebuild and
-	// linkMap translation per event — reusing the plan's reaction delays
-	// (pricing is covered by the dedicated pricing tests).
 	base := routing.BuildKShortest(tp, e.K)
 	installed := make([][][]int, len(conns))
 	for i, c := range conns {
@@ -219,6 +272,7 @@ func TestCompileMatchesFullRebuild(t *testing.T) {
 	if !reflect.DeepEqual(plan.Events, refEvents) {
 		t.Fatal("incremental compile and full-rebuild reference produced different simulator events")
 	}
+	return plan
 }
 
 // TestCompileWorkerInvariance runs the full compile + simulation at one

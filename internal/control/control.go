@@ -9,6 +9,7 @@ package control
 import (
 	"fmt"
 	"maps"
+	"math"
 	"time"
 
 	"flattree/internal/core"
@@ -38,6 +39,30 @@ type DelayModel struct {
 	// to maximum). It is reported in conversion traces and reports but is
 	// not part of Total, which models only the data-plane update.
 	Ramp float64
+}
+
+// BadDuration finds the first duration of a failure reaction that is
+// NaN, infinite or negative — the detection latency, then d's four
+// durations in field order — and returns it with its config field name
+// ("Detection", "Delay.OCSReconfig", ...). A NaN duration makes every
+// reaction time NaN; a negative one lands a reroute before the failure
+// that causes it. bad is false when every duration is usable; zero is.
+func BadDuration(detection float64, d DelayModel) (field string, v float64, bad bool) {
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"Detection", detection},
+		{"Delay.OCSReconfig", d.OCSReconfig},
+		{"Delay.PerRuleDelete", d.PerRuleDelete},
+		{"Delay.PerRuleAdd", d.PerRuleAdd},
+		{"Delay.Ramp", d.Ramp},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) || f.v < 0 {
+			return f.name, f.v, true
+		}
+	}
+	return "", 0, false
 }
 
 // TestbedDelayModel returns the delay constants calibrated to Table 3:

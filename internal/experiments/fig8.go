@@ -212,9 +212,6 @@ func (c Config) Fig8With(workloads []string, networks []Fig8Network) (*Fig8Resul
 // Median returns the median FCT (ms) of a series.
 func (s Fig8Series) Median() float64 { return metrics.Percentile(s.FCTs, 0.5) }
 
-// P99 returns the 99th percentile FCT (ms).
-func (s Fig8Series) P99() float64 { return metrics.Percentile(s.FCTs, 0.99) }
-
 // Render tabulates median / p90 / p99 FCT per workload and network —
 // the summary statistics of the Figure 8 CDFs.
 func (r *Fig8Result) Render() string {

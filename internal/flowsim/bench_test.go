@@ -37,12 +37,11 @@ func BenchmarkMaxMinRates128x8(b *testing.B) {
 	}
 }
 
-// benchLargeAlloc is the PR's headline allocator scenario: 100k subflows
-// over 16k links with heterogeneous capacities, so saturation staggers
-// across many progressive-filling rounds. The seed core re-scans all of
-// caps per round and rebuilds every per-link index per call; the SoA
-// core touches only loaded links and compacts frozen ones out, which is
-// where the gated ≥3x win comes from (see BENCH_pr7.json).
+// benchLargeAlloc is the headline allocator scenario: 100k subflows over
+// 16k links with heterogeneous capacities, so saturation staggers across
+// many progressive-filling rounds. The seed core re-scans all of caps per
+// round and rebuilds every per-link index per call; the SoA core touches
+// only loaded links and compacts frozen ones out.
 func benchLargeAlloc() ([]float64, []Subflow) {
 	rng := rand.New(rand.NewSource(42))
 	nLinks := 16_384

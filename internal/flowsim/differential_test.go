@@ -5,17 +5,15 @@ import (
 	"math/rand"
 	"testing"
 
-	"flattree/internal/parallel"
 	"flattree/internal/recorder"
 )
 
-// The differential suite pins the struct-of-arrays core (sim.go, soa.go)
-// to the retained seed implementation (reference.go): same seeded
+// The differential suite pins the struct-of-arrays core (loop.go, soa.go)
+// to the retained seed implementation (reference_test.go): same seeded
 // workload in, byte-identical ConnResult slices out — rates (via finish
 // times), FCTs, stall times, reroute counts. Scenarios cover the static
-// case, churn traces with disconnect/repair events, the parallel-link
-// topology of the convertible fabrics, and the sharded allocator at both
-// 1 and 8 workers.
+// case, churn traces with disconnect/repair events, and the parallel-link
+// topology of the convertible fabrics.
 
 // diffScenario is one seeded workload both cores run.
 type diffScenario struct {
@@ -288,24 +286,6 @@ func TestRunDifferentialRerouteBeyondHorizon(t *testing.T) {
 	if want[0].Reroutes != 0 || want[2].Reroutes != 1 || want[3].Reroutes != 2 ||
 		!math.IsInf(want[2].Finish, 1) || !math.IsInf(want[3].Finish, 1) || want[3].Start != 5 {
 		t.Fatalf("scenario lost its coverage: %+v", want)
-	}
-}
-
-// TestRunDifferentialWorkers runs the same churn workloads with the
-// process-wide pool pinned to 1 and to 8 workers: output bytes must not
-// depend on the worker count, and both must match the reference.
-func TestRunDifferentialWorkers(t *testing.T) {
-	defer parallel.SetDefaultWorkers(0)
-	for seed := int64(1); seed <= 10; seed++ {
-		sc := randomDiffScenario(seed, true)
-		parallel.SetDefaultWorkers(1)
-		one, oneErr := sc.sim().Run()
-		parallel.SetDefaultWorkers(8)
-		eight, eightErr := sc.sim().Run()
-		parallel.SetDefaultWorkers(0)
-		want, wantErr := sc.sim().runReference()
-		requireIdentical(t, seed, one, want, oneErr, wantErr)
-		requireIdentical(t, seed, eight, want, eightErr, wantErr)
 	}
 }
 

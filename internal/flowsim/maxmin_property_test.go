@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"flattree/internal/parallel"
 )
 
 // randomScenario builds a random fabric and subflow set. Everything is
@@ -71,18 +69,13 @@ func TestMaxMinRatesPermutationInvariant(t *testing.T) {
 	}
 }
 
-// TestMaxMinRatesIsMaxMin checks the defining max-min properties on random
-// scenarios: no link over capacity, and every unfrozen subflow is blocked
-// by some saturated link where it holds at least its weighted fair share —
-// i.e. no subflow's rate can grow without shrinking a share that is not
-// larger than its own.
-// largeScenario builds a fabric and subflow population big enough to
-// engage the sharded allocator (loaded links >= shardMinLinks): 8k links
-// with heterogeneous capacities so saturation staggers over many
-// progressive-filling rounds, and 100k+ subflows of mixed weights.
+// largeScenario builds a fabric and subflow population at the scale the
+// SoA core exists for: 8,192 links with heterogeneous capacities so
+// saturation staggers over many progressive-filling rounds, and 100k+
+// subflows of mixed weights.
 func largeScenario(seed int64) ([]float64, []Subflow) {
 	rng := rand.New(rand.NewSource(seed))
-	nLinks := 2 * shardMinLinks
+	const nLinks = 8192
 	caps := make([]float64, nLinks)
 	for l := range caps {
 		caps[l] = 1 + 99*rng.Float64()
@@ -111,8 +104,7 @@ func largeScenario(seed int64) ([]float64, []Subflow) {
 // normalized level is maximal (Bertsekas–Gallager weighted fairness).
 // The small-scenario test below does the same with an O(n^2) oracle;
 // this one proves the invariants survive the scale the SoA core exists
-// for — and, because 8k links stay loaded for thousands of rounds, it
-// runs the sharded bottleneck search in anger.
+// for, with 8k links loaded for thousands of rounds.
 func TestMaxMinLargeScaleInvariants(t *testing.T) {
 	const tol = 1e-6
 	caps, subs := largeScenario(1)
@@ -156,40 +148,31 @@ func TestMaxMinLargeScaleInvariants(t *testing.T) {
 	}
 }
 
-// TestMaxMinLargeScaleWorkerInvariance runs the sharded allocator on the
-// large scenario with the process pool pinned to 1 and to 8 workers and
-// requires bit-identical rates — the determinism contract of the sharded
-// bottleneck search (first strict minimum, ascending shard reduction) —
-// and pins both against the retained reference allocator. Runs under
-// -race in CI, so the shard fan-out is also checked for data races.
-func TestMaxMinLargeScaleWorkerInvariance(t *testing.T) {
-	defer parallel.SetDefaultWorkers(0)
+// TestMaxMinLargeScaleDifferential pins the allocator to the retained
+// reference allocator bit for bit on the large scenario, where thousands
+// of rounds each scan, compact and drain thousands of loaded links.
+func TestMaxMinLargeScaleDifferential(t *testing.T) {
 	caps, subs := largeScenario(2)
-	parallel.SetDefaultWorkers(1)
-	one, err := MaxMinRates(caps, subs)
+	got, err := MaxMinRates(caps, subs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel.SetDefaultWorkers(8)
-	eight, err := MaxMinRates(caps, subs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel.SetDefaultWorkers(0)
 	want, err := maxMinRatesRef(caps, subs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range want {
-		if math.Float64bits(one[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("subflow %d: workers=1 rate %.17g, reference %.17g", i, one[i], want[i])
-		}
-		if math.Float64bits(eight[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("subflow %d: workers=8 rate %.17g, reference %.17g", i, eight[i], want[i])
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("subflow %d: rate %.17g, reference %.17g", i, got[i], want[i])
 		}
 	}
 }
 
+// TestMaxMinRatesIsMaxMin checks the defining max-min properties on random
+// scenarios: no link over capacity, and every unfrozen subflow is blocked
+// by some saturated link where it holds at least its weighted fair share —
+// i.e. no subflow's rate can grow without shrinking a share that is not
+// larger than its own.
 func TestMaxMinRatesIsMaxMin(t *testing.T) {
 	const tol = 1e-7
 	for seed := int64(1); seed <= 30; seed++ {

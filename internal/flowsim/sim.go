@@ -1,3 +1,14 @@
+// Package flowsim is a flow-level network simulator: the substrate this
+// reproduction uses in place of the paper's MPTCP packet-level simulator.
+//
+// Transport connections are fluid flows over fixed path sets. Rates are
+// the weighted max-min fair allocation computed by progressive filling —
+// the steady state that TCP-family congestion control converges to. MPTCP
+// connections hold k subflows of weight 1/k each (modeling coupled
+// congestion control's one-connection-worth of aggression, §4.1); TCP/ECMP
+// connections hold a single path of weight 1. An event-driven loop
+// advances flow arrivals and completions to produce flow completion times
+// (Figure 8) and throughput time series (Figure 10).
 package flowsim
 
 import (

@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 
-	"flattree/internal/parallel"
 	"flattree/internal/telemetry"
 )
 
@@ -24,16 +23,11 @@ import (
 // order, the bottleneck is the first strict minimum of remaining/weight
 // in ascending link order, drains are per-link independent, and freezes
 // walk saturated links ascending with each subflow's own link list in
-// path order. The sharded bottleneck search reduces per-shard first
-// minima in ascending shard order preferring strictly smaller values,
-// which equals the serial first-minimum for any shard count — output
-// bytes are invariant across -workers.
-
-// shardMinLinks is the loaded-link count at which one round's bottleneck
-// search and drain fan out over the parallel pool. Below it the serial
-// scan wins: a round over a few thousand links is cheaper than a batch
-// dispatch.
-const shardMinLinks = 4096
+// path order.
+//
+// Rounds are serial: each is one pass over the loaded links, and a
+// fan-out of that pass over a worker pool measured slower than the scan
+// on two vCPUs (README, "Simulator core").
 
 // member is one subflow's occurrence on a link, keyed for the reference
 // iteration order: ascending external connection ID, then subflow index
@@ -47,8 +41,8 @@ type member struct {
 // integer slots (dense, reusable via a caller-held free list); each slot
 // owns a contiguous range of subflows, and each subflow a contiguous
 // range of the link arena. Per-call scratch (epoch marks, loaded-link
-// list, shard minima) is pooled here so steady-state allocation does not
-// allocate.
+// and saturated-link lists) is pooled here so steady-state allocation
+// does not allocate.
 type allocState struct {
 	caps []float64 // aliased from the caller; events mutate it in place
 
@@ -84,10 +78,6 @@ type allocState struct {
 	// Pooled round scratch.
 	roundLoaded []int32
 	roundSat    []int32
-	shardBest   []float64
-	shardLink   []int32
-	shardDead   []int
-	shardSat    [][]int32
 	epoch       uint64
 
 	// Abandoned-range accounting drives compaction in streaming runs.
@@ -119,34 +109,6 @@ func newAllocState(caps []float64, nSlots int) *allocState {
 	}
 }
 
-// reserveBulk pre-sizes the dense arrays for a one-shot bulk admission of
-// nSubs single-path subflows with nArena total link occurrences, occ[l] of
-// them on link l. Per-link membership is carved out of one shared backing
-// array at exact capacity, so the admission loop never reallocates. Only
-// meaningful on a fresh state (MaxMinRates); long-lived Sim states grow
-// organically instead.
-func (a *allocState) reserveBulk(nSubs, nArena int, occ []int32) {
-	a.sfW = make([]float64, 0, nSubs)
-	a.sfRate = make([]float64, 0, nSubs)
-	a.sfMark = make([]uint64, 0, nSubs)
-	a.sfFrozen = make([]uint64, 0, nSubs)
-	a.sfLinkOff = make([]int32, 0, nSubs)
-	a.sfLinkCnt = make([]int32, 0, nSubs)
-	a.arena = make([]int32, 0, nArena)
-	backing := make([]member, nArena)
-	pos, nLoaded := 0, 0
-	for l, c := range occ {
-		if c == 0 {
-			continue
-		}
-		nLoaded++
-		a.members[l] = backing[pos : pos : pos+int(c)]
-		pos += int(c)
-	}
-	a.memLinks = make([]int32, 0, nLoaded)
-	a.roundLoaded = make([]int32, 0, nLoaded)
-}
-
 // growSlots extends the per-slot arrays to hold at least n slots.
 func (a *allocState) growSlots(n int) {
 	for len(a.subOff) < n {
@@ -175,8 +137,8 @@ func (a *allocState) insertMember(l int32, m member) {
 		a.memDirty = true
 	}
 	mem := a.members[l]
-	// Admissions overwhelmingly arrive in ascending ID order (bulk
-	// MaxMinRates calls always, streaming runs nearly so), making the
+	// Admissions overwhelmingly arrive in ascending ID order
+	// (StaticRates always, streaming runs nearly so), making the
 	// upper-bound position the end of the list.
 	if n := len(mem); n == 0 || !memLess(m, mem[n-1]) {
 		a.members[l] = append(mem, m)
@@ -373,53 +335,39 @@ func (a *allocState) allocate(run []int32) {
 		// Δ = remaining[l] / linkWeight[l], first strict minimum in
 		// ascending link order — loaded is sorted, and links whose load
 		// froze are skipped by count, so this scan equals the
-		// reference's walk over all of caps. The serial scan compacts
-		// dead links (count zero) out of loaded as it goes; the sharded
-		// scan counts them and compacts in a follow-up pass once they
-		// dominate, so both keep later rounds touching only links still
-		// filling.
+		// reference's walk over all of caps. The scan compacts dead links
+		// (count zero) out of loaded as it goes, so later rounds touch
+		// only links still filling.
 		bottleneck := int32(-1)
 		best := math.Inf(1)
-		if len(loaded) >= shardMinLinks {
-			best, bottleneck, loaded = a.shardedBottleneck(loaded)
-		} else {
-			kept := loaded[:0]
-			for _, l := range loaded {
-				if a.linkCount[l] == 0 {
-					continue
-				}
-				kept = append(kept, l)
-				if d := a.remaining[l] / a.linkWeight[l]; d < best {
-					best = d
-					bottleneck = l
-				}
+		kept := loaded[:0]
+		for _, l := range loaded {
+			if a.linkCount[l] == 0 {
+				continue
 			}
-			loaded = kept
+			kept = append(kept, l)
+			if d := a.remaining[l] / a.linkWeight[l]; d < best {
+				best = d
+				bottleneck = l
+			}
 		}
+		loaded = kept
 		if bottleneck < 0 {
 			break
 		}
 		level += best
 		// Drain every loaded link by the growth of this round, collecting
 		// the links that just saturated (remaining at or under the 1e-12
-		// threshold). Each link's update is independent, so sharding
-		// cannot reorder any float operation, and per-shard saturation
-		// lists concatenate in shard order — ascending link order either
-		// way, since loaded is sorted.
+		// threshold) in ascending link order, since loaded is sorted. The
+		// search above compacted loaded, so every entry has live members.
 		sat := a.roundSat[:0]
-		if len(loaded) >= shardMinLinks {
-			sat = a.shardedDrain(loaded, best, sat)
-		} else {
-			// The serial search above already compacted loaded, so every
-			// entry has live members here.
-			for _, l := range loaded {
-				a.remaining[l] -= best * a.linkWeight[l]
-				if a.remaining[l] < 0 {
-					a.remaining[l] = 0
-				}
-				if a.remaining[l] <= 1e-12 {
-					sat = append(sat, l)
-				}
+		for _, l := range loaded {
+			a.remaining[l] -= best * a.linkWeight[l]
+			if a.remaining[l] < 0 {
+				a.remaining[l] = 0
+			}
+			if a.remaining[l] <= 1e-12 {
+				sat = append(sat, l)
 			}
 		}
 		// The bottleneck always freezes, whether or not the residual
@@ -472,121 +420,6 @@ func (a *allocState) allocate(run []int32) {
 	a.roundLoaded = loaded[:0]
 	a.allocs.Inc()
 	a.rounds.Add(rounds)
-}
-
-// shardCount splits n loaded links over the default pool, keeping shards
-// at least 1024 links so the dispatch amortizes.
-func shardCount(n int) int {
-	shards := parallel.Default().Workers()
-	if max := n / 1024; shards > max {
-		shards = max
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	return shards
-}
-
-// shardedBottleneck is the fanned-out bottleneck search: each shard finds
-// its first strict minimum, and the reduction walks shards in ascending
-// index preferring strictly smaller values — exactly the serial first
-// strict minimum, for any shard count and any worker count. Dead links
-// (count zero) are tallied per shard and compacted out of loaded once
-// they outnumber live ones; compaction moves no floats, so output bytes
-// stay invariant across worker counts.
-func (a *allocState) shardedBottleneck(loaded []int32) (float64, int32, []int32) {
-	shards := shardCount(len(loaded))
-	if shards == 1 {
-		best, bottleneck := math.Inf(1), int32(-1)
-		kept := loaded[:0]
-		for _, l := range loaded {
-			if a.linkCount[l] == 0 {
-				continue
-			}
-			kept = append(kept, l)
-			if d := a.remaining[l] / a.linkWeight[l]; d < best {
-				best = d
-				bottleneck = l
-			}
-		}
-		return best, bottleneck, kept
-	}
-	for len(a.shardBest) < shards {
-		a.shardBest = append(a.shardBest, 0)
-		a.shardLink = append(a.shardLink, 0)
-		a.shardDead = append(a.shardDead, 0)
-	}
-	chunk := (len(loaded) + shards - 1) / shards
-	parallel.Default().ForEach(shards, func(si int) {
-		lo := si * chunk
-		hi := min(lo+chunk, len(loaded))
-		b, bl := math.Inf(1), int32(-1)
-		dead := 0
-		for _, l := range loaded[lo:hi] {
-			if a.linkCount[l] == 0 {
-				dead++
-				continue
-			}
-			if d := a.remaining[l] / a.linkWeight[l]; d < b {
-				b = d
-				bl = l
-			}
-		}
-		a.shardBest[si], a.shardLink[si], a.shardDead[si] = b, bl, dead
-	})
-	best, bottleneck := math.Inf(1), int32(-1)
-	dead := 0
-	for si := 0; si < shards; si++ {
-		dead += a.shardDead[si]
-		if a.shardLink[si] >= 0 && a.shardBest[si] < best {
-			best = a.shardBest[si]
-			bottleneck = a.shardLink[si]
-		}
-	}
-	if dead*2 > len(loaded) {
-		kept := loaded[:0]
-		for _, l := range loaded {
-			if a.linkCount[l] > 0 {
-				kept = append(kept, l)
-			}
-		}
-		loaded = kept
-	}
-	return best, bottleneck, loaded
-}
-
-// shardedDrain fans the per-link drain out over the pool, appending links
-// that just saturated to per-shard lists; every link's update reads and
-// writes only that link's state, so the result is identical to the serial
-// loop, and concatenating the shard lists in shard order reproduces the
-// serial ascending collection order.
-func (a *allocState) shardedDrain(loaded []int32, best float64, sat []int32) []int32 {
-	shards := shardCount(len(loaded))
-	for len(a.shardSat) < shards {
-		a.shardSat = append(a.shardSat, nil)
-	}
-	chunk := (len(loaded) + shards - 1) / shards
-	parallel.Default().ForEach(shards, func(si int) {
-		lo := si * chunk
-		hi := min(lo+chunk, len(loaded))
-		ss := a.shardSat[si][:0]
-		for _, l := range loaded[lo:hi] {
-			if a.linkCount[l] > 0 {
-				a.remaining[l] -= best * a.linkWeight[l]
-				if a.remaining[l] < 0 {
-					a.remaining[l] = 0
-				}
-				if a.remaining[l] <= 1e-12 {
-					ss = append(ss, l)
-				}
-			}
-		}
-		a.shardSat[si] = ss
-	})
-	for si := 0; si < shards; si++ {
-		sat = append(sat, a.shardSat[si]...)
-	}
-	return sat
 }
 
 // rate sums slot's subflow rates in path order — the accumulation order

@@ -47,14 +47,6 @@ type Result struct {
 	PerFlow []float64
 }
 
-// Avg returns the mean per-flow throughput.
-func (r Result) Avg() float64 {
-	if len(r.PerFlow) == 0 {
-		return 0
-	}
-	return r.Total / float64(len(r.PerFlow))
-}
-
 // Min returns the minimum per-flow throughput.
 func (r Result) Min() float64 {
 	if len(r.PerFlow) == 0 {

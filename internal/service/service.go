@@ -26,7 +26,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"net/http"
 	"sync"
@@ -104,21 +103,12 @@ func New(cfg Config) (*Server, error) {
 	if cfg.K < 1 {
 		return nil, fmt.Errorf("service: k = %d", cfg.K)
 	}
-	if badSeconds(cfg.Detection) {
-		return nil, fmt.Errorf("service: Config.Detection %v (want finite >= 0; zero uses the default)", cfg.Detection)
-	}
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{
-		{"OCSReconfig", cfg.Delay.OCSReconfig},
-		{"PerRuleDelete", cfg.Delay.PerRuleDelete},
-		{"PerRuleAdd", cfg.Delay.PerRuleAdd},
-		{"Ramp", cfg.Delay.Ramp},
-	} {
-		if badSeconds(f.v) {
-			return nil, fmt.Errorf("service: Config.Delay.%s %v (want finite >= 0)", f.name, f.v)
+	if field, v, bad := control.BadDuration(cfg.Detection, cfg.Delay); bad {
+		note := ""
+		if field == "Detection" {
+			note = "; zero uses the default"
 		}
+		return nil, fmt.Errorf("service: Config.%s %v (want finite >= 0%s)", field, v, note)
 	}
 	if cfg.Detection == 0 {
 		cfg.Detection = 0.05
@@ -152,11 +142,6 @@ func New(cfg Config) (*Server, error) {
 		failed: map[int][2]int{},
 	}, nil
 }
-
-// badSeconds reports whether a configured duration is NaN, infinite or
-// negative: a NaN reaction time fails response encoding, a negative one
-// prices an event below zero.
-func badSeconds(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) || v < 0 }
 
 // Run serves on the established listener until ctx is cancelled, then
 // shuts down gracefully: the listener closes immediately, in-flight

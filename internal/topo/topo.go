@@ -169,11 +169,6 @@ func (t *Topology) ServersOn(sw int) []int {
 	return out
 }
 
-// RackOf returns the rack identity of a server: the switch it attaches to.
-// Two servers are rack-local when they share an edge (or, after relocation
-// in flat-tree, any) switch.
-func (t *Topology) RackOf(server int) int { return t.AttachedSwitch(server) }
-
 // PodOf returns the pod of a server, defined as the pod of its attached
 // switch; -1 when the switch is a core switch or the topology is
 // unstructured.
