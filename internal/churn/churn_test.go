@@ -243,6 +243,27 @@ func TestChurnDisconnection(t *testing.T) {
 // reaction duration fails before any routing, with flatd's check
 // (control.BadDuration): NaN would surface only as flowsim's event-time
 // error, and a negative detection landed reroutes before t=0.
+// TestCompileZeroKIsDefault pins the other side of the negative-K
+// rejection: K = 0 installs the documented default of 8 paths.
+func TestCompileZeroKIsDefault(t *testing.T) {
+	tp := exampleTopo(t, core.ModeClos)
+	servers := tp.Servers()
+	conns := []Conn{{Src: servers[0], Dst: servers[len(servers)-1], Bits: 1}}
+	var paths [2][][]int
+	for i, k := range []int{0, 8} {
+		e := exampleEngine(tp)
+		e.K = k
+		plan, err := e.Compile(nil, conns)
+		if err != nil {
+			t.Fatal(err)
+		}
+		paths[i] = plan.Specs[0].Paths
+	}
+	if !reflect.DeepEqual(paths[0], paths[1]) || len(paths[0]) != 8 {
+		t.Fatalf("K = 0 installed %d paths %v, K = 8 installed %d %v", len(paths[0]), paths[0], len(paths[1]), paths[1])
+	}
+}
+
 func TestCompileErrors(t *testing.T) {
 	tp := exampleTopo(t, core.ModeClos)
 	servers := tp.Servers()
@@ -277,6 +298,8 @@ func TestCompileErrors(t *testing.T) {
 			expectExactErr: "churn: Engine.Delay.PerRuleAdd NaN (want finite >= 0)"},
 		{name: "negative infinite ramp", engine: func(e *Engine) { e.Delay.Ramp = math.Inf(-1) },
 			expectExactErr: "churn: Engine.Delay.Ramp -Inf (want finite >= 0)"},
+		{name: "negative k", engine: func(e *Engine) { e.K = -3 },
+			expectExactErr: "churn: Engine.K -3 (want >= 0; zero uses the default 8)"},
 		{name: "non-server endpoint", conns: []Conn{{Src: 0, Dst: 1, Bits: 1}},
 			expectExactErr: "churn: connection 0 endpoint 0 is not a server"},
 		{name: "repair of healthy link", trace: Trace{{Time: 0.5, A: edge, B: agg, Repair: true}},

@@ -29,7 +29,8 @@ type Engine struct {
 	// directed link slots (routing.DirectedCaps order).
 	Topo *topo.Topology
 	// K is the number of surviving k-shortest paths installed per
-	// connection at each reroute; zero defaults to 8.
+	// connection at each reroute; zero defaults to 8, and Compile rejects
+	// a negative K.
 	K int
 	// Detection is the failure-detection latency before the controller
 	// starts updating rules, in seconds. Compile rejects NaN, infinite and
@@ -66,13 +67,6 @@ type Plan struct {
 	Deltas []routing.RuleDelta
 }
 
-func (e *Engine) k() int {
-	if e.K < 1 {
-		return 8
-	}
-	return e.K
-}
-
 // Compile routes the connections on the healthy topology and turns the
 // trace into simulator events. Each trace event yields (1) an immediate
 // capacity event masking or restoring the physical link, and (2) when any
@@ -88,8 +82,14 @@ func (e *Engine) Compile(trace Trace, conns []Conn) (*Plan, error) {
 	if field, v, bad := control.BadDuration(e.Detection, e.Delay); bad {
 		return nil, fmt.Errorf("churn: Engine.%s %v (want finite >= 0)", field, v)
 	}
+	if e.K < 0 {
+		return nil, fmt.Errorf("churn: Engine.K %d (want >= 0; zero uses the default 8)", e.K)
+	}
 	t := e.Topo
-	k := e.k()
+	k := e.K
+	if k == 0 {
+		k = 8
+	}
 	for i, c := range conns {
 		for _, nd := range []int{c.Src, c.Dst} {
 			if nd < 0 || nd >= len(t.Nodes) || t.Nodes[nd].Kind != topo.Server {

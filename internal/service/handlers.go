@@ -4,12 +4,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 
 	"flattree/internal/churn"
 	"flattree/internal/control"
 	"flattree/internal/core"
+	"flattree/internal/graph"
 	"flattree/internal/routing"
 	"flattree/internal/topo"
 )
@@ -151,56 +153,81 @@ func (s *Server) snapshotTopology() topologyResponse {
 	}
 }
 
-// routePath is one path in a GET /routes body.
-type routePath struct {
-	Nodes []int `json:"nodes"`
-	Links []int `json:"links"`
-}
-
-// GET /routes?src=&dst= — live k-shortest server-to-server lookup.
+// GET /routes?src=&dst= — live k-shortest server-to-server lookup. The
+// body is compact JSON, appended field by field: this is the daemon's
+// hot path, and its fields are fixed.
 func (s *Server) handleRoutes(w http.ResponseWriter, r *http.Request) {
 	if !requireMethod(w, r, http.MethodGet) {
 		return
 	}
-	src, err := s.serverParam(r, "src")
+	q := r.URL.Query()
+	src, err := s.serverParam(q, "src")
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	dst, err := s.serverParam(r, "dst")
+	dst, err := s.serverParam(q, "dst")
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	out := s.lookupRoutes(src, dst)
-	writeJSON(w, http.StatusOK, struct {
-		Src       int         `json:"src"`
-		Dst       int         `json:"dst"`
-		K         int         `json:"k"`
-		Reachable bool        `json:"reachable"`
-		Paths     []routePath `json:"paths"`
-	}{Src: src, Dst: dst, K: s.cfg.K, Reachable: len(out) > 0, Paths: out})
-}
-
-// lookupRoutes runs the k-shortest lookup under the read lock and
-// copies the result out, so the response write happens unlocked.
-func (s *Server) lookupRoutes(src, dst int) []routePath {
+	// ServerPaths builds fresh slices, so the body is encoded unlocked.
 	s.mu.RLock()
-	defer s.mu.RUnlock()
 	paths := s.inc.View().ServerPaths(src, dst)
+	s.mu.RUnlock()
 	if len(paths) > s.cfg.K {
 		paths = paths[:s.cfg.K]
 	}
-	out := make([]routePath, len(paths))
-	for i, p := range paths {
-		out[i] = routePath{Nodes: p.Nodes, Links: p.Links}
-	}
-	return out
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(routesBody(src, dst, s.cfg.K, paths))
 }
 
-// serverParam parses a query parameter as a server node ID.
-func (s *Server) serverParam(r *http.Request, name string) (int, error) {
-	raw := r.URL.Query().Get(name)
+// routesBody encodes the /routes answer: the fields src, dst, k,
+// reachable and paths, in that order, without whitespace, then a
+// newline.
+func routesBody(src, dst, k int, paths []graph.Path) []byte {
+	size := 64
+	for _, p := range paths {
+		size += 24 + 8*(len(p.Nodes)+len(p.Links))
+	}
+	buf := make([]byte, 0, size)
+	buf = append(buf, `{"src":`...)
+	buf = strconv.AppendInt(buf, int64(src), 10)
+	buf = append(buf, `,"dst":`...)
+	buf = strconv.AppendInt(buf, int64(dst), 10)
+	buf = append(buf, `,"k":`...)
+	buf = strconv.AppendInt(buf, int64(k), 10)
+	buf = append(buf, `,"reachable":`...)
+	buf = strconv.AppendBool(buf, len(paths) > 0)
+	buf = append(buf, `,"paths":[`...)
+	for i, p := range paths {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = append(buf, `{"nodes":`...)
+		buf = appendInts(buf, p.Nodes)
+		buf = append(buf, `,"links":`...)
+		buf = appendInts(buf, p.Links)
+		buf = append(buf, '}')
+	}
+	return append(buf, "]}\n"...)
+}
+
+// appendInts appends xs as a JSON array.
+func appendInts(buf []byte, xs []int) []byte {
+	buf = append(buf, '[')
+	for i, x := range xs {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = strconv.AppendInt(buf, int64(x), 10)
+	}
+	return append(buf, ']')
+}
+
+// serverParam parses query parameter name as a server node ID.
+func (s *Server) serverParam(q url.Values, name string) (int, error) {
+	raw := q.Get(name)
 	if raw == "" {
 		return 0, fmt.Errorf("missing query parameter %q", name)
 	}

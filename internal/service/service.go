@@ -178,12 +178,21 @@ func (s *Server) Run(ctx context.Context, ln net.Listener) error {
 // counters outermost, then the per-request deadline, then the routing mux.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/topology", s.handleTopology)
-	mux.HandleFunc("/routes", s.handleRoutes)
-	mux.HandleFunc("/quote/convert", s.handleQuoteConvert)
-	mux.HandleFunc("/events/link", s.handleLinkEvent)
-	mux.HandleFunc("/metrics", s.handleMetrics)
+	stats := map[string]*requestStats{}
+	for _, ep := range []struct {
+		path   string
+		handle http.HandlerFunc
+	}{
+		{"/healthz", s.handleHealthz},
+		{"/topology", s.handleTopology},
+		{"/routes", s.handleRoutes},
+		{"/quote/convert", s.handleQuoteConvert},
+		{"/events/link", s.handleLinkEvent},
+		{"/metrics", s.handleMetrics},
+	} {
+		mux.HandleFunc(ep.path, ep.handle)
+		stats[ep.path] = s.requestStats(ep.path)
+	}
 
 	var inner http.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if s.preHandle != nil {
@@ -192,14 +201,34 @@ func (s *Server) Handler() http.Handler {
 		mux.ServeHTTP(w, r)
 	})
 	timed := http.TimeoutHandler(inner, s.cfg.RequestTimeout, `{"error":"request timed out"}`)
-	return s.observe(timed)
+	return s.observe(timed, stats)
+}
+
+// otherPath is the path label of every request for an unregistered
+// path, so a client probing arbitrary URLs cannot grow the registry.
+const otherPath = "other"
+
+// requestStats are one endpoint's request metrics, resolved once when
+// Handler builds the chain.
+type requestStats struct {
+	requests, errors *telemetry.Counter
+	seconds          *telemetry.Histogram
+}
+
+func (s *Server) requestStats(path string) *requestStats {
+	return &requestStats{
+		requests: s.reg.Counter("flatd_requests_total", "path", path),
+		errors:   s.reg.Counter("flatd_request_errors_total", "path", path),
+		seconds:  s.reg.Histogram("flatd_request_seconds", "path", path),
+	}
 }
 
 // observe wraps the handler chain in bounded request logging: one root
 // span per request (the registry's root-span limit keeps a resident
-// daemon's history finite) plus path-labeled counters and a latency
-// histogram.
-func (s *Server) observe(next http.Handler) http.Handler {
+// daemon's history finite) plus counters and a latency histogram
+// labeled by endpoint, with every unregistered path under otherPath.
+func (s *Server) observe(next http.Handler, stats map[string]*requestStats) http.Handler {
+	other := s.requestStats(otherPath)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		sp := s.reg.StartRootSpan("http", telemetry.Str("method", r.Method), telemetry.Str("path", r.URL.Path))
@@ -207,11 +236,15 @@ func (s *Server) observe(next http.Handler) http.Handler {
 		next.ServeHTTP(sw, r)
 		sp.SetAttr(telemetry.Int("status", sw.status))
 		sp.End()
-		s.reg.Counter("flatd_requests_total", "path", r.URL.Path).Inc()
-		if sw.status >= 400 {
-			s.reg.Counter("flatd_request_errors_total", "path", r.URL.Path).Inc()
+		st := stats[r.URL.Path]
+		if st == nil {
+			st = other
 		}
-		s.reg.Histogram("flatd_request_seconds").Observe(time.Since(start).Seconds())
+		st.requests.Inc()
+		if sw.status >= 400 {
+			st.errors.Inc()
+		}
+		st.seconds.Observe(time.Since(start).Seconds())
 	})
 }
 

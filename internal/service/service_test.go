@@ -408,16 +408,170 @@ func TestRoutes(t *testing.T) {
 			t.Fatalf("malformed path %+v", p)
 		}
 	}
+}
 
-	for _, target := range []string{
-		"/routes",
-		"/routes?src=0&dst=1", // node 0 is a switch
-		fmt.Sprintf("/routes?src=%d&dst=xyz", src),  // unparsable
-		fmt.Sprintf("/routes?src=%d&dst=9999", src), // out of range
-	} {
-		if code, _ := do(t, srv, http.MethodGet, target, ""); code != http.StatusBadRequest {
-			t.Errorf("GET %s status = %d, want 400", target, code)
+// errorBody decodes a JSON error response.
+func errorBody(t *testing.T, body []byte) string {
+	t.Helper()
+	var got struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(body, &got); err != nil {
+		t.Fatalf("body %s: %v", body, err)
+	}
+	return got.Error
+}
+
+// TestRoutesErrors pins each rejected /routes request's status and exact
+// error body.
+func TestRoutesErrors(t *testing.T) {
+	srv := newTestServer(t)
+	src := srv.topo.Servers()[0]
+	n := len(srv.topo.Nodes)
+	cases := []struct {
+		name, method, target string
+		status               int
+		expectExactErr       string
+	}{
+		{"missing src", http.MethodGet, "/routes", http.StatusBadRequest,
+			`missing query parameter "src"`},
+		{"missing dst", http.MethodGet, fmt.Sprintf("/routes?src=%d", src), http.StatusBadRequest,
+			`missing query parameter "dst"`},
+		{"unparsable dst", http.MethodGet, fmt.Sprintf("/routes?src=%d&dst=xyz", src), http.StatusBadRequest,
+			`parameter "dst": strconv.Atoi: parsing "xyz": invalid syntax`},
+		{"out of range dst", http.MethodGet, fmt.Sprintf("/routes?src=%d&dst=9999", src), http.StatusBadRequest,
+			fmt.Sprintf(`parameter "dst": node 9999 out of range [0, %d)`, n)},
+		{"negative src", http.MethodGet, fmt.Sprintf("/routes?src=-1&dst=%d", src), http.StatusBadRequest,
+			fmt.Sprintf(`parameter "src": node -1 out of range [0, %d)`, n)},
+		{"switch src", http.MethodGet, "/routes?src=0&dst=1", http.StatusBadRequest,
+			`parameter "src": node 0 is a core, not a server`},
+		{"wrong method", http.MethodPost, fmt.Sprintf("/routes?src=%d&dst=%d", src, src), http.StatusMethodNotAllowed,
+			"method POST not allowed; use GET"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			code, body := do(t, srv, tc.method, tc.target, "")
+			if code != tc.status {
+				t.Fatalf("status = %d, want %d; body %s", code, tc.status, body)
+			}
+			if got := errorBody(t, body); got != tc.expectExactErr {
+				t.Fatalf("error = %q, want %q", got, tc.expectExactErr)
+			}
+		})
+	}
+}
+
+// indentedRoutes is the reference /routes encoding: MarshalIndent of the
+// same five fields over the live paths.
+func indentedRoutes(t *testing.T, srv *Server, src, dst int) []byte {
+	t.Helper()
+	type routePath struct {
+		Nodes []int `json:"nodes"`
+		Links []int `json:"links"`
+	}
+	paths := srv.inc.View().ServerPaths(src, dst)
+	if len(paths) > srv.cfg.K {
+		paths = paths[:srv.cfg.K]
+	}
+	out := make([]routePath, len(paths))
+	for i, p := range paths {
+		out[i] = routePath{Nodes: p.Nodes, Links: p.Links}
+	}
+	body, err := json.MarshalIndent(struct {
+		Src       int         `json:"src"`
+		Dst       int         `json:"dst"`
+		K         int         `json:"k"`
+		Reachable bool        `json:"reachable"`
+		Paths     []routePath `json:"paths"`
+	}{Src: src, Dst: dst, K: srv.cfg.K, Reachable: len(out) > 0, Paths: out}, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(body, '\n')
+}
+
+// TestRoutesCompactIsWhitespaceOnly pins the compact /routes body to the
+// indented encoding with its whitespace removed, for every server pair,
+// on the healthy fabric and again after a link fails.
+func TestRoutesCompactIsWhitespaceOnly(t *testing.T) {
+	srv := newTestServer(t)
+	servers := srv.topo.Servers()
+	check := func(state string) map[[2]int]string {
+		bodies := map[[2]int]string{}
+		for _, src := range servers {
+			for _, dst := range servers {
+				if src == dst {
+					continue
+				}
+				code, body := do(t, srv, http.MethodGet, fmt.Sprintf("/routes?src=%d&dst=%d", src, dst), "")
+				if code != http.StatusOK {
+					t.Fatalf("%s: %d->%d status = %d, body %s", state, src, dst, code, body)
+				}
+				var want bytes.Buffer
+				if err := json.Compact(&want, indentedRoutes(t, srv, src, dst)); err != nil {
+					t.Fatal(err)
+				}
+				want.WriteByte('\n')
+				if !bytes.Equal(body, want.Bytes()) {
+					t.Fatalf("%s: %d->%d body differs from the compacted indented encoding:\n--- got ---\n%s--- want ---\n%s",
+						state, src, dst, body, want.Bytes())
+				}
+				bodies[[2]int{src, dst}] = string(body)
+			}
 		}
+		return bodies
+	}
+	healthy := check("healthy")
+	if len(healthy) != 56 {
+		t.Fatalf("checked %d server pairs, want 56", len(healthy))
+	}
+	a, b := switchLink(t, srv.topo)
+	if code, body := do(t, srv, http.MethodPost, "/events/link", fmt.Sprintf(`{"action":"fail","a":%d,"b":%d}`, a, b)); code != http.StatusOK {
+		t.Fatalf("fail status = %d, body %s", code, body)
+	}
+	changed := 0
+	for pair, body := range check("after a failure") {
+		if body != healthy[pair] {
+			changed++
+		}
+	}
+	if changed == 0 {
+		t.Fatal("failing a link changed no /routes body; the degraded check covers nothing new")
+	}
+}
+
+// TestQuoteConvertErrors pins each rejected quote's status and exact
+// error body.
+func TestQuoteConvertErrors(t *testing.T) {
+	srv := newTestServer(t)
+	cases := []struct {
+		name, method, body string
+		status             int
+		expectExactErr     string
+	}{
+		{"bad json", http.MethodPost, `modes`, http.StatusBadRequest,
+			"request body: invalid character 'm' looking for beginning of value"},
+		{"unknown field", http.MethodPost, `{"modes":["local","clos"],"k":4}`, http.StatusBadRequest,
+			`request body: json: unknown field "k"`},
+		{"trailing data", http.MethodPost, `{"modes":["local","clos"]} {}`, http.StatusBadRequest,
+			"request body: trailing data after JSON object"},
+		{"unknown mode", http.MethodPost, `{"modes":["local","mesh"]}`, http.StatusBadRequest,
+			`modes[1]: core: unknown mode "mesh"`},
+		{"wrong vector length", http.MethodPost, `{"modes":["local"]}`, http.StatusUnprocessableEntity,
+			"quote: control: 1 modes for 2 pods"},
+		{"wrong method", http.MethodGet, "", http.StatusMethodNotAllowed,
+			"method GET not allowed; use POST"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			code, body := do(t, srv, tc.method, "/quote/convert", tc.body)
+			if code != tc.status {
+				t.Fatalf("status = %d, want %d; body %s", code, tc.status, body)
+			}
+			if got := errorBody(t, body); got != tc.expectExactErr {
+				t.Fatalf("error = %q, want %q", got, tc.expectExactErr)
+			}
+		})
 	}
 }
 
@@ -432,6 +586,39 @@ func TestMethodNotAllowed(t *testing.T) {
 	for _, tc := range cases {
 		if code, _ := do(t, srv, tc.method, tc.target, ""); code != http.StatusMethodNotAllowed {
 			t.Errorf("%s %s status = %d, want 405", tc.method, tc.target, code)
+		}
+	}
+}
+
+// TestRequestMetricsBounded sends many distinct unknown paths: each is
+// counted under path="other", so the registry holds as many series as
+// before them, and the latency histogram is labeled by endpoint.
+func TestRequestMetricsBounded(t *testing.T) {
+	srv := newTestServer(t)
+	series := func() int {
+		snap := srv.reg.Snapshot()
+		return len(snap.Counters) + len(snap.Gauges) + len(snap.Histograms)
+	}
+	do(t, srv, http.MethodGet, "/probe-0", "")
+	before := series()
+	for i := 1; i <= 200; i++ {
+		if code, _ := do(t, srv, http.MethodGet, fmt.Sprintf("/probe-%d", i), ""); code != http.StatusNotFound {
+			t.Fatalf("GET /probe-%d status = %d, want 404", i, code)
+		}
+	}
+	if after := series(); after != before {
+		t.Fatalf("200 unknown paths grew the registry from %d to %d series", before, after)
+	}
+	servers := srv.topo.Servers()
+	do(t, srv, http.MethodGet, fmt.Sprintf("/routes?src=%d&dst=%d", servers[0], servers[1]), "")
+	_, body := do(t, srv, http.MethodGet, "/metrics", "")
+	for _, line := range []string{
+		`flatd_requests_total{path="other"} 201`,
+		`flatd_request_errors_total{path="other"} 201`,
+		`flatd_request_seconds_count{path="/routes"} 1`,
+	} {
+		if !strings.Contains(string(body), line+"\n") {
+			t.Errorf("metrics body lacks %q:\n%s", line, body)
 		}
 	}
 }

@@ -78,3 +78,19 @@ func BenchmarkHistogramEnabled(b *testing.B) {
 		h.Observe(float64(i&1023) * 1e-4)
 	}
 }
+
+// BenchmarkRootSpanBounded measures one request span on a resident
+// daemon's registry: a root span started and ended with the 512-span
+// history already full, so each End overwrites the oldest span.
+func BenchmarkRootSpanBounded(b *testing.B) {
+	r := NewRegistry()
+	r.SetRootSpanLimit(512)
+	for i := 0; i < 512; i++ {
+		r.StartRootSpan("req").End()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.StartRootSpan("req").End()
+	}
+}

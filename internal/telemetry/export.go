@@ -127,8 +127,8 @@ func (r *Registry) Snapshot() *Snapshot {
 			snap.Histograms[key] = hs
 		}
 	}
-	for _, root := range r.roots {
-		snap.Spans = append(snap.Spans, snapshotSpan(root))
+	for i := range r.roots {
+		snap.Spans = append(snap.Spans, snapshotSpan(r.roots[(r.rootHead+i)%len(r.roots)]))
 	}
 	return snap
 }

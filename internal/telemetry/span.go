@@ -129,7 +129,6 @@ func (s *Span) End() {
 		}
 	}
 	if s.parent == nil {
-		r.roots = append(r.roots, s)
-		r.enforceRootLimitLocked()
+		r.fileRootLocked(s)
 	}
 }

@@ -150,7 +150,12 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	roots    []*Span // finished root spans, in End order
+	// roots holds the finished root spans in End order, starting at
+	// rootHead. Under a rootLimit it is a ring of at most rootLimit spans,
+	// and rootHead moves only once the ring is full; otherwise rootHead
+	// is 0.
+	roots    []*Span
+	rootHead int
 	stack    []*Span // open spans; top is the implicit parent of new spans
 	// rootLimit bounds the finished-root-span history (0 = unbounded);
 	// droppedRoots counts spans the bound discarded.
@@ -184,19 +189,30 @@ func (r *Registry) SetRootSpanLimit(n int) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.rootLimit = n
-	r.enforceRootLimitLocked()
+	keep := len(r.roots)
+	if n > 0 && keep > n {
+		keep = n
+	}
+	// Unroll the ring into End order, keeping the newest spans.
+	kept := make([]*Span, keep)
+	for i := range kept {
+		kept[i] = r.roots[(r.rootHead+len(r.roots)-keep+i)%len(r.roots)]
+	}
+	r.droppedRoots += int64(len(r.roots) - keep)
+	r.roots, r.rootHead, r.rootLimit = kept, 0, n
 }
 
-// enforceRootLimitLocked drops the oldest finished roots past the limit;
-// callers hold r.mu.
-func (r *Registry) enforceRootLimitLocked() {
-	if r.rootLimit <= 0 || len(r.roots) <= r.rootLimit {
+// fileRootLocked adds a finished root span to the history. Once a bounded
+// history is full it overwrites the oldest span in place: O(1) and
+// allocation-free. Callers hold r.mu.
+func (r *Registry) fileRootLocked(s *Span) {
+	if r.rootLimit > 0 && len(r.roots) == r.rootLimit {
+		r.roots[r.rootHead] = s
+		r.rootHead = (r.rootHead + 1) % r.rootLimit
+		r.droppedRoots++
 		return
 	}
-	over := len(r.roots) - r.rootLimit
-	r.droppedRoots += int64(over)
-	r.roots = append(r.roots[:0:0], r.roots[over:]...)
+	r.roots = append(r.roots, s)
 }
 
 // labelString renders alternating key, value pairs as a deterministic
