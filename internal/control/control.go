@@ -8,7 +8,6 @@ package control
 
 import (
 	"fmt"
-	"maps"
 	"math"
 	"time"
 
@@ -87,15 +86,15 @@ type ConversionReport struct {
 	// RampTime is the modeled transport-throughput regrow time after the
 	// rules land (DelayModel.Ramp); reported but excluded from Total.
 	RampTime float64
-	// RouteComputeTime is the measured wall time spent computing the
-	// k-shortest-path table for the new topology; zero when the table
-	// came from the §4.3 precomputed store ("the paths and the resulting
-	// network states can also be precomputed and stored into a table in
-	// memory to save the computation time"). It is reported separately
-	// and not part of Total, which models only the data-plane update.
+	// RouteComputeTime is the measured wall time spent installing routing
+	// state for the new topology: taking its k-shortest-path table and
+	// masking the recorded failures on it. A mode every pod shares takes
+	// its table from the shared route cache, so a repeat conversion costs
+	// a lookup (§4.3: "the paths and the resulting network states can
+	// also be precomputed and stored into a table in memory to save the
+	// computation time"). It is reported separately and not part of
+	// Total, which models only the data-plane update.
 	RouteComputeTime float64
-	// FromCache reports whether the routing state was precomputed.
-	FromCache bool
 }
 
 // Controller manages a flat-tree network's converter switches and routing
@@ -107,19 +106,17 @@ type Controller struct {
 	// different k per topology mode).
 	K map[core.Mode]int
 
+	// realization is the healthy realization of the current modes; inc
+	// holds its route table with the recorded failures masked. Both are
+	// replaced, never mutated, by each reinstall.
 	realization *core.Realization
-	table       *routing.Table
-	rules       map[int]int // current per-switch rule count
-	configs     []core.Config
-	// failed masks broken links by endpoint pair (§4.3 failure handling).
+	inc         *routing.IncrementalTable
+	// failed counts recorded link failures by endpoint pair (§4.3
+	// failure handling; see failures.go).
 	failed map[[2]int]int
-	// routeCache holds precomputed routing state per uniform mode (§4.3);
-	// invalidated by link failures/repairs.
-	routeCache map[core.Mode]*cachedRoutes
-	// lastCompute and lastFromCache record the most recent reinstall's
-	// route-computation cost for conversion reports.
-	lastCompute   float64
-	lastFromCache bool
+	// lastCompute is the most recent reinstall's route-installation time
+	// for conversion reports.
+	lastCompute float64
 	// rec, when set, receives each conversion's phase breakdown as
 	// sim-time flight-recorder events; recClock positions them (see
 	// SetRecordClock).
@@ -127,19 +124,11 @@ type Controller struct {
 	recClock float64
 }
 
-// cachedRoutes is one mode's precomputed routing state.
-type cachedRoutes struct {
-	realization *core.Realization
-	table       *routing.Table
-	rules       map[int]int
-}
-
 // NewController initializes the controller in the network's current mode
 // and installs its routing state. kByMode maps each mode to its k; missing
 // modes default to 4.
 func NewController(nw *core.Network, delay DelayModel, kByMode map[core.Mode]int) (*Controller, error) {
-	c := &Controller{nw: nw, delay: delay, K: make(map[core.Mode]int),
-		failed: make(map[[2]int]int), routeCache: make(map[core.Mode]*cachedRoutes)}
+	c := &Controller{nw: nw, delay: delay, K: make(map[core.Mode]int), failed: make(map[[2]int]int)}
 	for _, m := range []core.Mode{core.ModeClos, core.ModeLocal, core.ModeGlobal} {
 		c.K[m] = 4
 		if k, ok := kByMode[m]; ok {
@@ -150,7 +139,7 @@ func NewController(nw *core.Network, delay DelayModel, kByMode map[core.Mode]int
 		}
 	}
 	if err := c.reinstall(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("control: %w", err)
 	}
 	return c, nil
 }
@@ -168,68 +157,31 @@ func (c *Controller) kForCurrent() int {
 	return k
 }
 
-// reinstall realizes the current converter configuration, masks failed
-// links, and rebuilds routing state. It fails when the surviving topology
-// is partitioned.
+// reinstall realizes the current converter configuration and installs its
+// routing state: the healthy route table, taken from the shared route
+// cache when every pod runs the same mode, with the recorded failures
+// masked on it. It is the controller's only way to change routing state.
+// When the masked links partition the fabric it returns an error and
+// leaves the installed state as it was.
 func (c *Controller) reinstall() error {
-	c.lastCompute = 0
-	c.lastFromCache = false
-	// Uniform, failure-free modes can come from the precomputed store.
-	if mode, uniform := c.nw.Mode(); uniform && len(c.failed) == 0 {
-		if cached, ok := c.routeCache[mode]; ok {
-			c.realization = cached.realization
-			c.table = cached.table
-			c.rules = cached.rules
-			c.configs = configsOf(c.nw)
-			c.lastFromCache = true
-			telemetry.C("control_route_cache_hits_total").Inc()
-			return nil
-		}
-	}
-	telemetry.C("control_route_cache_misses_total").Inc()
 	r := c.nw.Realize()
-	pruned, err := pruneFailures(r.Topo, c.failed)
+	start := time.Now()
+	var base *routing.Table
+	if _, uniform := c.nw.Mode(); uniform {
+		base = routing.BuildKShortestCached(r.Topo, c.kForCurrent())
+	} else {
+		// Hybrid tables stay out of the shared cache: a resident daemon
+		// quoting many mode vectors would fill it with one table each.
+		base = routing.BuildKShortest(r.Topo, c.kForCurrent())
+	}
+	inc, err := c.maskFailures(r.Topo, base)
 	if err != nil {
 		return err
 	}
-	if pruned != r.Topo {
-		degraded := *r
-		degraded.Topo = pruned
-		r = &degraded
-	}
-	c.realization = r
-	start := time.Now()
-	c.table = routing.BuildKShortest(c.realization.Topo, c.kForCurrent())
 	c.lastCompute = time.Since(start).Seconds()
 	telemetry.H("control_route_compute_seconds").Observe(c.lastCompute)
-	c.rules = c.table.PrefixRulesPerSwitch()
-	c.configs = configsOf(c.nw)
+	c.realization, c.inc = r, inc
 	return nil
-}
-
-// PrecomputeRoutes builds and stores the routing state of every uniform
-// mode ahead of time (§4.3), so later conversions skip the k-shortest-path
-// computation entirely. The cache is dropped on link failures and repairs,
-// which change the graph.
-func (c *Controller) PrecomputeRoutes() error {
-	if len(c.failed) > 0 {
-		return fmt.Errorf("control: cannot precompute with %d failed links", len(c.failed))
-	}
-	saved := c.nw.PodModes()
-	for _, m := range []core.Mode{core.ModeClos, core.ModeLocal, core.ModeGlobal} {
-		c.nw.SetMode(m)
-		r := c.nw.Realize()
-		table := routing.BuildKShortest(r.Topo, c.K[m])
-		c.routeCache[m] = &cachedRoutes{
-			realization: r, table: table, rules: table.PrefixRulesPerSwitch(),
-		}
-	}
-	for pod, m := range saved {
-		if err := c.nw.SetPodMode(pod, m); err != nil {
-			return err
-		}
-	}
-	return c.reinstall()
 }
 
 func configsOf(nw *core.Network) []core.Config {
@@ -244,25 +196,24 @@ func configsOf(nw *core.Network) []core.Config {
 // Network returns the managed network.
 func (c *Controller) Network() *core.Network { return c.nw }
 
-// Realization returns the currently installed topology.
+// Realization returns the healthy realization of the current modes.
+// Recorded link failures are masked in Table, not removed from this
+// topology.
 func (c *Controller) Realization() *core.Realization { return c.realization }
 
-// Table returns the currently installed route table.
-func (c *Controller) Table() *routing.Table { return c.table }
+// Table returns the installed route table, recorded failures masked. The
+// returned table does not change when the controller installs new state.
+func (c *Controller) Table() *routing.Table { return c.inc.View() }
 
 // RulesPerSwitch returns the installed per-switch rule counts.
-func (c *Controller) RulesPerSwitch() map[int]int {
-	out := make(map[int]int, len(c.rules))
-	maps.Copy(out, c.rules)
-	return out
-}
+func (c *Controller) RulesPerSwitch() map[int]int { return c.inc.RulesPerSwitch() }
 
 // MaxRulesPerSwitch returns the largest per-switch rule count — the §5.3
 // figure of merit (242/180/76 on the testbed).
 func (c *Controller) MaxRulesPerSwitch() int {
 	max := 0
 	//flatvet:ordered integer max over values is order-independent
-	for _, v := range c.rules {
+	for _, v := range c.inc.RulesPerSwitch() {
 		if v > max {
 			max = v
 		}
@@ -281,80 +232,20 @@ func (c *Controller) Convert(mode core.Mode) (*ConversionReport, error) {
 }
 
 // ConvertPods switches per-pod modes (hybrid operation) and returns the
-// delay breakdown.
+// delay breakdown. The conversion is performed: it is traced as a
+// conversion span with one modeled child per phase, recorded on the
+// flight-recorder track, and counted.
 func (c *Controller) ConvertPods(modes []core.Mode) (*ConversionReport, error) {
-	if len(modes) != c.nw.Clos().Pods {
-		return nil, fmt.Errorf("control: %d modes for %d pods", len(modes), c.nw.Clos().Pods)
-	}
 	sp := telemetry.StartSpan("conversion", telemetry.Str("to", modesLabel(modes)))
 	defer sp.End()
-	from := c.nw.PodModes()
-	oldConfigs := c.configs
-	oldRules := c.rules
-
-	for pod, m := range modes {
-		if err := c.nw.SetPodMode(pod, m); err != nil {
-			return nil, err
-		}
-	}
-	if err := c.reinstall(); err != nil {
-		// Roll back: the requested modes partition under the recorded
-		// failures; restore the previous configuration.
-		for pod, m := range from {
-			if rerr := c.nw.SetPodMode(pod, m); rerr != nil {
-				return nil, fmt.Errorf("control: conversion failed (%v) and rollback of pod %d failed (%v)", err, pod, rerr)
-			}
-		}
-		if rerr := c.reinstall(); rerr != nil {
-			return nil, fmt.Errorf("control: conversion failed (%v) and rollback failed (%v)", err, rerr)
-		}
+	rep, _, err := c.convert(modes)
+	if err != nil {
 		return nil, err
 	}
-
-	rep := &ConversionReport{From: from, To: append([]core.Mode(nil), modes...)}
-	for i, cfg := range c.configs {
-		if cfg != oldConfigs[i] {
-			rep.ConvertersReconfigured++
-		}
-	}
-	// Rule churn: the old topology's rules are deleted, the new ones
-	// added (the testbed deletes and reinstalls; unchanged rules between
-	// modes are rare because paths shift with the topology).
-	if c.delay.Parallel {
-		//flatvet:ordered integer max over values is order-independent
-		for _, n := range oldRules {
-			if n > rep.RulesDeleted {
-				rep.RulesDeleted = n
-			}
-		}
-		//flatvet:ordered integer max over values is order-independent
-		for _, n := range c.rules {
-			if n > rep.RulesAdded {
-				rep.RulesAdded = n
-			}
-		}
-	} else {
-		//flatvet:ordered integer sum is order-independent
-		for _, n := range oldRules {
-			rep.RulesDeleted += n
-		}
-		//flatvet:ordered integer sum is order-independent
-		for _, n := range c.rules {
-			rep.RulesAdded += n
-		}
-	}
-	rep.OCSTime = c.delay.OCSReconfig
-	rep.DeleteTime = float64(rep.RulesDeleted) * c.delay.PerRuleDelete
-	rep.AddTime = float64(rep.RulesAdded) * c.delay.PerRuleAdd
-	rep.Total = rep.OCSTime + rep.DeleteTime + rep.AddTime
-	rep.RampTime = c.delay.Ramp
-	rep.RouteComputeTime = c.lastCompute
-	rep.FromCache = c.lastFromCache
-
 	// Table 3 as a trace: one modeled-duration child span per conversion
 	// phase, rule churn attached where it drives the phase length.
 	sp.SetAttr(
-		telemetry.Str("from", modesLabel(from)),
+		telemetry.Str("from", modesLabel(rep.From)),
 		telemetry.Int("converters_reconfigured", rep.ConvertersReconfigured),
 		telemetry.Float("modeled_total_seconds", rep.Total),
 	)
@@ -367,6 +258,60 @@ func (c *Controller) ConvertPods(modes []core.Mode) (*ConversionReport, error) {
 	telemetry.C("control_rules_deleted_total").Add(int64(rep.RulesDeleted))
 	telemetry.C("control_rules_added_total").Add(int64(rep.RulesAdded))
 	return rep, nil
+}
+
+// convert sets the per-pod modes, reinstalls routing state and prices the
+// change: the report and the per-switch rule churn (the old mode's rules
+// deleted, the new mode's added, as the testbed deletes and reinstalls;
+// unchanged rules between modes are rare because paths shift with the
+// topology). When the new modes would partition the fabric under the
+// recorded failures, the previous modes are restored and it errors. It
+// emits nothing: ConvertPods performs a conversion, QuotePodModes only
+// prices one.
+func (c *Controller) convert(modes []core.Mode) (*ConversionReport, routing.RuleDelta, error) {
+	if len(modes) != c.nw.Clos().Pods {
+		return nil, routing.RuleDelta{}, fmt.Errorf("control: %d modes for %d pods", len(modes), c.nw.Clos().Pods)
+	}
+	from, oldConfigs, old := c.nw.PodModes(), configsOf(c.nw), c.inc
+	if err := c.setModes(modes); err != nil {
+		return nil, routing.RuleDelta{}, err
+	}
+	if err := c.reinstall(); err != nil {
+		if rerr := c.setModes(from); rerr != nil {
+			return nil, routing.RuleDelta{}, fmt.Errorf("control: conversion failed (%v) and rollback failed (%v)", err, rerr)
+		}
+		return nil, routing.RuleDelta{}, fmt.Errorf("control: converting to %s would partition the network: %w", modesLabel(modes), err)
+	}
+
+	rep := &ConversionReport{From: from, To: append([]core.Mode(nil), modes...)}
+	for i, cfg := range configsOf(c.nw) {
+		if cfg != oldConfigs[i] {
+			rep.ConvertersReconfigured++
+		}
+	}
+	delta := routing.RuleDelta{Adds: c.inc.RulesPerSwitch(), Dels: old.RulesPerSwitch()}
+	if c.delay.Parallel {
+		rep.RulesDeleted, rep.RulesAdded = delta.MaxDels(), delta.MaxAdds()
+	} else {
+		rep.RulesDeleted, rep.RulesAdded = delta.TotalDels(), delta.TotalAdds()
+	}
+	rep.OCSTime = c.delay.OCSReconfig
+	rep.DeleteTime = float64(rep.RulesDeleted) * c.delay.PerRuleDelete
+	rep.AddTime = float64(rep.RulesAdded) * c.delay.PerRuleAdd
+	rep.Total = rep.OCSTime + rep.DeleteTime + rep.AddTime
+	rep.RampTime = c.delay.Ramp
+	rep.RouteComputeTime = c.lastCompute
+	return rep, delta, nil
+}
+
+// setModes assigns every pod its mode.
+func (c *Controller) setModes(modes []core.Mode) error {
+	for pod, m := range modes {
+		if err := c.nw.SetPodMode(pod, m); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // SetRecorder directs each conversion's phase breakdown onto a flight-
@@ -429,14 +374,4 @@ func modesLabel(modes []core.Mode) string {
 		out += m.String()
 	}
 	return out
-}
-
-// ShardEstimate models the distributed-controller option of §4.3: with the
-// state distribution spread over nControllers, the rule install time
-// shrinks proportionally (path computation parallelizes trivially).
-func (c *Controller) ShardEstimate(rep *ConversionReport, nControllers int) float64 {
-	if nControllers < 1 {
-		nControllers = 1
-	}
-	return rep.OCSTime + (rep.DeleteTime+rep.AddTime)/float64(nControllers)
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"flattree/internal/core"
+	"flattree/internal/telemetry"
 )
 
 func exampleController(t *testing.T) *Controller {
@@ -19,6 +20,18 @@ func exampleController(t *testing.T) *Controller {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// liveLinks counts the installed topology's links the route table may
+// use: the healthy realization's links less the masked ones.
+func liveLinks(c *Controller) int {
+	n := 0
+	for id := range c.Realization().Topo.G.Links() {
+		if !c.inc.Banned(id) {
+			n++
+		}
+	}
+	return n
 }
 
 func TestControllerInitialState(t *testing.T) {
@@ -148,22 +161,6 @@ func TestParallelDelayModel(t *testing.T) {
 	}
 }
 
-func TestShardEstimate(t *testing.T) {
-	c := exampleController(t)
-	rep, _ := c.Convert(core.ModeGlobal)
-	one := c.ShardEstimate(rep, 1)
-	four := c.ShardEstimate(rep, 4)
-	if four >= one {
-		t.Fatalf("sharding did not reduce delay: %v vs %v", four, one)
-	}
-	if four < rep.OCSTime {
-		t.Fatal("sharded delay below the OCS floor")
-	}
-	if got := c.ShardEstimate(rep, 0); got != one {
-		t.Fatal("nControllers<1 not clamped")
-	}
-}
-
 func TestBadK(t *testing.T) {
 	nw, _ := core.ExampleNetwork()
 	if _, err := NewController(nw, TestbedDelayModel(), map[core.Mode]int{core.ModeClos: 0}); err == nil {
@@ -195,7 +192,7 @@ func TestFailAndRepairLink(t *testing.T) {
 	if err := c.FailLink(a, b); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Realization().Topo.G.NumLinks(); got != linksBefore-1 {
+	if got := liveLinks(c); got != linksBefore-1 {
 		t.Fatalf("links after failure = %d, want %d", got, linksBefore-1)
 	}
 	if len(c.FailedLinks()) != 1 {
@@ -267,133 +264,46 @@ func TestFailLinkRefusesPartition(t *testing.T) {
 	}
 }
 
-func TestGradualConvert(t *testing.T) {
+// TestUniformTablesFromSharedCache pins §4.3's precomputed routing state:
+// a mode every pod shares takes its table from the shared route cache, so
+// converting back to a mode already realized looks the table up instead
+// of rebuilding it.
+func TestUniformTablesFromSharedCache(t *testing.T) {
 	c := exampleController(t)
-	steps, err := c.GradualConvert(core.ModeGlobal, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 4 pods, batch 1 => 4 steps, each converting one pod.
-	if len(steps) != 4 {
-		t.Fatalf("steps = %d, want 4", len(steps))
-	}
-	for i, s := range steps {
-		if len(s.Pods) != 1 || s.Pods[0] != i {
-			t.Fatalf("step %d pods = %v", i, s.Pods)
-		}
-		// Intermediate states are valid hybrids: converted prefix global,
-		// the rest still Clos.
-		for p, m := range s.ModesAfter {
-			want := core.ModeClos
-			if p <= i {
-				want = core.ModeGlobal
-			}
-			if m != want {
-				t.Fatalf("step %d pod %d mode %v, want %v", i, p, m, want)
-			}
-		}
-		// Every step is cheaper than a full conversion (fewer rules
-		// change per step than in an atomic switch).
-		if s.Report.Total <= s.Report.OCSTime {
-			t.Fatalf("step %d total %v at the OCS floor", i, s.Report.Total)
+	reg := telemetry.Enable()
+	defer telemetry.Disable()
+	for _, m := range []core.Mode{core.ModeGlobal, core.ModeClos, core.ModeGlobal} {
+		if _, err := c.Convert(m); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if m, uniform := c.Network().Mode(); !uniform || m != core.ModeGlobal {
-		t.Fatalf("final mode %v uniform=%v", m, uniform)
-	}
-	if GradualTotalDelay(steps) <= 0 {
-		t.Fatal("no total delay")
-	}
-	// Converting again gradually is a no-op (all batches skipped).
-	again, err := c.GradualConvert(core.ModeGlobal, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(again) != 0 {
-		t.Fatalf("idempotent gradual conversion produced %d steps", len(again))
-	}
-	if _, err := c.GradualConvert(core.ModeClos, 0); err == nil {
-		t.Fatal("batch size 0 accepted")
-	}
-}
-
-func TestGradualConvertBatches(t *testing.T) {
-	c := exampleController(t)
-	steps, err := c.GradualConvert(core.ModeLocal, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 4 pods, batch 3 => steps of 3 and 1 pods.
-	if len(steps) != 2 || len(steps[0].Pods) != 3 || len(steps[1].Pods) != 1 {
-		t.Fatalf("batching wrong: %d steps", len(steps))
-	}
-}
-
-func TestPrecomputeRoutes(t *testing.T) {
-	c := exampleController(t)
-	// Cold conversion computes routes.
-	rep, err := c.Convert(core.ModeGlobal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.FromCache {
-		t.Fatal("cold conversion claimed a cache hit")
-	}
-	if rep.RouteComputeTime <= 0 {
-		t.Fatal("no route computation time measured")
-	}
-
-	if err := c.PrecomputeRoutes(); err != nil {
-		t.Fatal(err)
-	}
-	rep, err = c.Convert(core.ModeLocal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.FromCache || rep.RouteComputeTime != 0 {
-		t.Fatalf("precomputed conversion missed the cache: %+v", rep)
+	hits := reg.Counter("parallel_cache_hits_total", "cache", "route").Value()
+	misses := reg.Counter("parallel_cache_misses_total", "cache", "route").Value()
+	if hits < 1 || hits+misses != 3 {
+		t.Fatalf("three uniform conversions made %d hits and %d misses in the shared route cache, want 3 lookups with the repeat a hit", hits, misses)
 	}
 	// Routing state from the cache is fully functional.
-	if c.MaxRulesPerSwitch() <= 0 || len(c.Table().Ingress) == 0 {
+	if c.MaxRulesPerSwitch() <= 0 || len(c.Table().Ingress) != 20 {
 		t.Fatal("cached routing state empty")
-	}
-
-	// A link failure invalidates the cache.
-	tp := c.Realization().Topo
-	var a, b int
-	for _, l := range tp.G.Links() {
-		na, nb := tp.Nodes[l.A], tp.Nodes[l.B]
-		if na.Kind != 0 && nb.Kind != 0 {
-			a, b = l.A, l.B
-			break
-		}
-	}
-	if err := c.FailLink(a, b); err != nil {
-		t.Fatal(err)
-	}
-	rep, err = c.Convert(core.ModeGlobal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.FromCache {
-		t.Fatal("cache served a degraded topology")
-	}
-	if err := c.PrecomputeRoutes(); err == nil {
-		t.Fatal("precompute allowed with failed links")
 	}
 }
 
+// TestHybridNeverCached pins that a mixed-mode table never enters the
+// shared route cache: a resident daemon quoting many hybrids would
+// otherwise fill it with one table per quote.
 func TestHybridNeverCached(t *testing.T) {
 	c := exampleController(t)
-	if err := c.PrecomputeRoutes(); err != nil {
-		t.Fatal(err)
+	reg := telemetry.Enable()
+	defer telemetry.Disable()
+	for i := 0; i < 2; i++ {
+		if _, err := c.ConvertPods([]core.Mode{core.ModeGlobal, core.ModeClos, core.ModeClos, core.ModeClos}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	rep, err := c.ConvertPods([]core.Mode{core.ModeGlobal, core.ModeClos, core.ModeClos, core.ModeClos})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.FromCache {
-		t.Fatal("hybrid mode served from the uniform-mode cache")
+	hits := reg.Counter("parallel_cache_hits_total", "cache", "route").Value()
+	misses := reg.Counter("parallel_cache_misses_total", "cache", "route").Value()
+	if hits+misses != 0 {
+		t.Fatalf("hybrid conversions made %d hits and %d misses in the shared route cache, want none", hits, misses)
 	}
 }
 
@@ -486,7 +396,7 @@ func TestDormantFailureReappliesAfterConversion(t *testing.T) {
 	if _, err := c.Convert(core.ModeClos); err != nil {
 		t.Fatal(err)
 	}
-	closLinks := c.Realization().Topo.G.NumLinks()
+	closLinks := liveLinks(c)
 	if _, err := c.Convert(core.ModeGlobal); err != nil {
 		t.Fatal(err)
 	}
@@ -532,7 +442,7 @@ func TestDormantFailureReappliesAfterConversion(t *testing.T) {
 	if err := c.FailLink(ga, gb); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Realization().Topo.G.NumLinks(); got != globalLinks-1 {
+	if got := liveLinks(c); got != globalLinks-1 {
 		t.Fatalf("links after failure = %d, want %d", got, globalLinks-1)
 	}
 	// Convert to Clos: the failure is dormant — the surviving Clos
@@ -540,7 +450,7 @@ func TestDormantFailureReappliesAfterConversion(t *testing.T) {
 	if _, err := c.Convert(core.ModeClos); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Realization().Topo.G.NumLinks(); got != closLinks {
+	if got := liveLinks(c); got != closLinks {
 		t.Fatalf("dormant failure pruned a Clos link: %d links, want %d", got, closLinks)
 	}
 	if got := c.FailedLinks(); len(got) != 1 {
@@ -550,13 +460,13 @@ func TestDormantFailureReappliesAfterConversion(t *testing.T) {
 	if _, err := c.Convert(core.ModeGlobal); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Realization().Topo.G.NumLinks(); got != globalLinks-1 {
+	if got := liveLinks(c); got != globalLinks-1 {
 		t.Fatalf("mask did not re-apply after conversion back: %d links, want %d", got, globalLinks-1)
 	}
 	if err := c.RepairLink(ga, gb); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Realization().Topo.G.NumLinks(); got != globalLinks {
+	if got := liveLinks(c); got != globalLinks {
 		t.Fatalf("links after repair = %d, want %d", got, globalLinks)
 	}
 }

@@ -2,37 +2,37 @@ package control
 
 import (
 	"fmt"
-	"maps"
 	"sort"
 
-	"flattree/internal/core"
+	"flattree/internal/routing"
 	"flattree/internal/topo"
 )
 
 // Link-failure handling (§4.3): the logically centralized controller
 // "observes link failures and updates the graph, which happens
-// infrequently and does not cause heavy burden". Failures are identified
-// by their endpoint node IDs — stable across conversions because
-// realizations enumerate nodes identically in every mode — so a failure
-// recorded in one mode stays masked after converting to another when the
-// same physical cable is still in use.
+// infrequently and does not cause heavy burden". Failures are recorded as
+// a count per endpoint pair — node IDs are stable across conversions
+// because realizations enumerate nodes identically in every mode — and
+// every reinstall masks them on the new mode's route table with the rule
+// flatd and the churn engine use (routing.IncrementalTable.LinkBetween).
+// So a failure recorded in one mode stays masked after converting to
+// another when the same physical cable is still in use, and lies dormant
+// while the mode leaves that cable unused.
 
-// FailLink records the failure of one link between nodes a and b on the
-// current realization and reinstalls routing state on the surviving
-// topology. Parallel links fail one at a time (each call masks one more).
+// FailLink records the failure of one link between switches a and b of
+// the installed topology and reinstalls routing state with it masked.
+// Parallel links fail one at a time (each call masks one more). It
+// refuses, recording nothing, a link the masking rule cannot take — a
+// node out of range, a server uplink, no adjacency, or no surviving link
+// — and a failure that would partition the fabric.
 func (c *Controller) FailLink(a, b int) error {
-	live, err := c.liveLinksBetween(a, b)
-	if err != nil {
+	if _, err := c.inc.LinkBetween(a, b, false); err != nil {
 		return err
-	}
-	if live == 0 {
-		return fmt.Errorf("control: no surviving link between %d and %d", a, b)
 	}
 	key := linkKey(a, b)
 	c.failed[key]++
-	c.routeCache = make(map[core.Mode]*cachedRoutes) // graph changed
 	if err := c.reinstall(); err != nil {
-		c.failed[key]--
+		c.forget(key)
 		return fmt.Errorf("control: failing link %d-%d would partition the network: %w", a, b, err)
 	}
 	return nil
@@ -46,16 +46,20 @@ func (c *Controller) RepairLink(a, b int) error {
 	if c.failed[key] == 0 {
 		return fmt.Errorf("control: no recorded failure between %d and %d", a, b)
 	}
-	c.failed[key]--
-	if c.failed[key] == 0 {
-		delete(c.failed, key)
-	}
-	c.routeCache = make(map[core.Mode]*cachedRoutes) // graph changed
+	c.forget(key)
 	if err := c.reinstall(); err != nil {
 		c.failed[key]++
 		return fmt.Errorf("control: repairing link %d-%d: %w", a, b, err)
 	}
 	return nil
+}
+
+// forget drops one recorded failure of a pair.
+func (c *Controller) forget(key [2]int) {
+	c.failed[key]--
+	if c.failed[key] == 0 {
+		delete(c.failed, key)
+	}
 }
 
 // FailedLinks lists recorded failures as (a, b, count) triples, sorted by
@@ -74,22 +78,6 @@ func (c *Controller) FailedLinks() [][3]int {
 	return out
 }
 
-// liveLinksBetween counts surviving links between two nodes on the
-// current (pruned) topology.
-func (c *Controller) liveLinksBetween(a, b int) (int, error) {
-	t := c.realization.Topo
-	if a < 0 || a >= len(t.Nodes) || b < 0 || b >= len(t.Nodes) {
-		return 0, fmt.Errorf("control: node out of range")
-	}
-	n := 0
-	for _, id := range t.G.Incident(a) {
-		if t.G.Link(id).Other(a) == b {
-			n++
-		}
-	}
-	return n, nil
-}
-
 func linkKey(a, b int) [2]int {
 	if a > b {
 		a, b = b, a
@@ -97,42 +85,29 @@ func linkKey(a, b int) [2]int {
 	return [2]int{a, b}
 }
 
-// pruneFailures rebuilds a topology without the masked links. A recorded
-// failure whose adjacency the current mode does not realize is dormant:
-// the broken cable is simply not in use until a conversion brings it back.
-// Pruning errors only when the surviving network no longer validates
-// (partition).
-func pruneFailures(t *topo.Topology, failed map[[2]int]int) (*topo.Topology, error) {
-	if len(failed) == 0 {
-		return t, nil
-	}
-	remaining := make(map[[2]int]int, len(failed))
-	maps.Copy(remaining, failed)
-	out := topo.NewTopology(t.Name + "-degraded")
-	out.SetNumPods(t.NumPods())
-	for _, n := range t.Nodes {
-		id := out.AddNode(n.Kind, n.Pod)
-		if id != n.ID {
-			return nil, fmt.Errorf("control: node renumbering during prune")
-		}
-		out.Nodes[id].LocalIndex = n.LocalIndex
-	}
-	for _, l := range t.G.Links() {
-		na, nb := t.Nodes[l.A], t.Nodes[l.B]
-		if na.Kind != topo.Server && nb.Kind != topo.Server {
-			key := linkKey(l.A, l.B)
-			if remaining[key] > 0 {
-				remaining[key]--
-				continue // masked
+// maskFailures wraps the healthy table of topology t in an incremental
+// table and masks the recorded failures on it, pair by pair in sorted
+// order. A pair whose adjacency has fewer links in this mode than its
+// record counts masks all it has (LinkBetween errs on the next one); the
+// rest of its count stays recorded and dormant. It errors when the masked
+// links leave some node unreachable.
+func (c *Controller) maskFailures(t *topo.Topology, base *routing.Table) (*routing.IncrementalTable, error) {
+	inc := routing.NewIncremental(base)
+	banned := map[int]bool{}
+	for _, f := range c.FailedLinks() {
+		for n := 0; n < f[2]; n++ {
+			link, err := inc.LinkBetween(f[0], f[1], false)
+			if err != nil {
+				break
 			}
-			out.AddLink(l.A, l.B)
+			inc.Fail(link)
+			banned[link] = true
 		}
 	}
-	for _, s := range t.Servers() {
-		out.AttachServer(s, t.AttachedSwitch(s))
+	for node, d := range t.G.BFSDistancesBanned(0, banned) {
+		if d < 0 {
+			return nil, fmt.Errorf("node %d is cut off from node 0", node)
+		}
 	}
-	if err := out.Validate(); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return inc, nil
 }

@@ -20,9 +20,11 @@ type Quote struct {
 // — the online what-if entry point flatd's /quote/convert serves. It
 // converts nw itself, so callers pass a private copy (core.Network.Clone,
 // or a freshly built network) and keep live state out of reach; any
-// installed routing state stays untouched. The quote prices the healthy
-// fabric: transient link failures are a routing-layer concern (priced
-// per event by routing.IncrementalTable) and do not change the
+// installed routing state stays untouched. A quote is priced, not
+// performed: it computes ConvertPods' report but emits no conversion
+// span, recorder phases or conversion counters. The quote prices the
+// healthy fabric: transient link failures are a routing-layer concern
+// (priced per event by routing.IncrementalTable) and do not change the
 // conversion's rule churn model. Wall-clock route-computation time is
 // zeroed so identical inputs always produce identical quotes.
 func QuotePodModes(nw *core.Network, delay DelayModel, kByMode map[core.Mode]int, modes []core.Mode) (*Quote, error) {
@@ -30,12 +32,10 @@ func QuotePodModes(nw *core.Network, delay DelayModel, kByMode map[core.Mode]int
 	if err != nil {
 		return nil, err
 	}
-	before := c.RulesPerSwitch()
-	rep, err := c.ConvertPods(modes)
+	rep, delta, err := c.convert(modes)
 	if err != nil {
 		return nil, err
 	}
 	rep.RouteComputeTime = 0
-	after := c.RulesPerSwitch()
-	return &Quote{Report: *rep, Delta: routing.RuleDelta{Adds: after, Dels: before}}, nil
+	return &Quote{Report: *rep, Delta: delta}, nil
 }

@@ -271,6 +271,42 @@ func TestQuoteConvertLeavesLiveStateUntouched(t *testing.T) {
 	}
 }
 
+// TestQuotePerformsNoConversion pins that a quote is priced, not
+// performed. The server runs over the global registry, where the
+// controller's conversion spans and counters land, yet its quotes leave
+// no control_conversions_total in /metrics and no child under any
+// quote's request span.
+func TestQuotePerformsNoConversion(t *testing.T) {
+	reg := telemetry.Enable()
+	t.Cleanup(telemetry.Disable)
+	srv, err := New(Config{Network: testNetwork(t), K: 4, Detection: 0.05, Delay: testDelay()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	quotes := []string{`{"modes":["local","clos"]}`, `{"modes":["global","global"]}`, `{"modes":["global","local"]}`}
+	for _, body := range quotes {
+		if code, resp := do(t, srv, http.MethodPost, "/quote/convert", body); code != http.StatusOK {
+			t.Fatalf("quote %s: status %d, body %s", body, code, resp)
+		}
+	}
+	if _, body := do(t, srv, http.MethodGet, "/metrics", ""); strings.Contains(string(body), "control_conversions_total") {
+		t.Fatalf("quotes were counted as conversions:\n%s", body)
+	}
+	n := 0
+	for _, sp := range reg.Snapshot().Spans {
+		if sp.Attrs["path"] != "/quote/convert" {
+			continue
+		}
+		n++
+		if len(sp.Children) != 0 {
+			t.Fatalf("quote request span has children %+v", sp.Children)
+		}
+	}
+	if n != len(quotes) {
+		t.Fatalf("%d quote request spans, want %d", n, len(quotes))
+	}
+}
+
 // linkEventResult mirrors linkEventResponse for decoding.
 type linkEventResult struct {
 	Link            int           `json:"link"`

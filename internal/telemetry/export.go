@@ -162,13 +162,18 @@ func (r *Registry) WriteJSON(w io.Writer) error { return r.Snapshot().WriteJSON(
 
 // WritePrometheus renders the registry in the Prometheus text exposition
 // format (version 0.0.4): "# TYPE" comments followed by
-// "name{labels} value" sample lines, deterministically ordered.
+// "name{labels} value" sample lines, deterministically ordered. It holds
+// the registry lock only to collect the metrics, not while it formats and
+// writes them: a slow reader must not stall every span start and end.
+// Metrics are never removed and their values are atomic, so the collected
+// handles stay valid after the lock is released.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	counters, gauges, hists := sortedValues(r.counters), sortedValues(r.gauges), sortedValues(r.hists)
+	r.mu.Unlock()
 
 	typed := map[string]bool{}
 	writeType := func(name, kind string) error {
@@ -180,8 +185,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		return err
 	}
 
-	for _, key := range sortedKeys(r.counters) {
-		c := r.counters[key]
+	for _, c := range counters {
 		if err := writeType(c.name, "counter"); err != nil {
 			return err
 		}
@@ -189,8 +193,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			return err
 		}
 	}
-	for _, key := range sortedKeys(r.gauges) {
-		g := r.gauges[key]
+	for _, g := range gauges {
 		if err := writeType(g.name, "gauge"); err != nil {
 			return err
 		}
@@ -198,8 +201,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			return err
 		}
 	}
-	for _, key := range sortedKeys(r.hists) {
-		h := r.hists[key]
+	for _, h := range hists {
 		if err := writeType(h.name, "histogram"); err != nil {
 			return err
 		}
@@ -225,14 +227,18 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return nil
 }
 
-// sortedKeys returns a map's keys in ascending order.
-func sortedKeys[V any](m map[string]V) []string {
+// sortedValues returns a map's values in ascending key order.
+func sortedValues[V any](m map[string]V) []V {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	return keys
+	out := make([]V, len(keys))
+	for i, k := range keys {
+		out[i] = m[k]
+	}
+	return out
 }
 
 // withLabel merges one extra label into a rendered label block.

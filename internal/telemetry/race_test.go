@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestConcurrentRegistry hammers one registry from many goroutines —
@@ -67,5 +68,53 @@ func TestConcurrentRegistry(t *testing.T) {
 	}
 	if got, want := countWork(snap.Spans), goroutines*(iters/100); got != want {
 		t.Fatalf("work spans = %d, want %d", got, want)
+	}
+}
+
+// stalledWriter blocks its first Write until release is closed, like a
+// client that stops reading a /metrics response.
+type stalledWriter struct {
+	once             sync.Once
+	entered, release chan struct{}
+}
+
+func (w *stalledWriter) Write(p []byte) (int, error) {
+	w.once.Do(func() {
+		close(w.entered)
+		<-w.release
+	})
+	return len(p), nil
+}
+
+// TestScrapeDoesNotBlockSpans pins that WritePrometheus writes without
+// the registry lock: while a scrape is stuck in its first Write, another
+// goroutine still starts and ends a root span on the same registry.
+func TestScrapeDoesNotBlockSpans(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("requests_total").Inc()
+	r.Histogram("request_seconds").Observe(0.01)
+	w := &stalledWriter{entered: make(chan struct{}), release: make(chan struct{})}
+	scraped := make(chan error, 1)
+	go func() { scraped <- r.WritePrometheus(w) }()
+	<-w.entered
+
+	spanDone := make(chan struct{})
+	go func() {
+		r.StartRootSpan("http").End()
+		close(spanDone)
+	}()
+	var blocked bool
+	select {
+	case <-spanDone:
+	case <-time.After(5 * time.Second):
+		blocked = true
+	}
+	close(w.release)
+	if err := <-scraped; err != nil {
+		t.Fatal(err)
+	}
+	<-spanDone
+	if blocked {
+		t.Fatal("a root span's start and end waited for a stalled scrape to finish writing")
 	}
 }

@@ -1,9 +1,11 @@
 package testbed
 
 import (
+	"strings"
 	"testing"
 
 	"flattree/internal/core"
+	"flattree/internal/telemetry"
 )
 
 func TestTestbedShape(t *testing.T) {
@@ -217,5 +219,68 @@ func TestGradualVsAtomicConversion(t *testing.T) {
 	gEnd := gradual.Samples[len(gradual.Samples)-1].CoreBandwidth
 	if diff := aEnd/gEnd - 1; diff > 0.01 || diff < -0.01 {
 		t.Fatalf("plateaus differ: %.1f vs %.1f", aEnd, gEnd)
+	}
+}
+
+// TestRunGradualConversionSteps pins the §4.3 gradual conversion the
+// ablation-gradual experiment runs: every step converts one more pod
+// through a hybrid the controller routes (the pods not converting keep
+// carrying traffic), each step costs more than the OCS alone, the
+// network ends uniformly in the target mode, and a second run converts
+// nothing.
+func TestRunGradualConversionSteps(t *testing.T) {
+	reg := telemetry.Enable()
+	t.Cleanup(telemetry.Disable)
+	tb, err := New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := tb.RunGradualConversion(core.ModeGlobal, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conversions := func() []telemetry.SpanSnapshot {
+		var out []telemetry.SpanSnapshot
+		for _, sp := range reg.Snapshot().Spans {
+			if sp.Name == "conversion" {
+				out = append(out, sp)
+			}
+		}
+		return out
+	}
+	steps := conversions()
+	if len(steps) != 4 {
+		t.Fatalf("%d conversion steps, want one per pod (4)", len(steps))
+	}
+	for i, sp := range steps {
+		modes := []string{"global", "global", "global", "global"}
+		for p := i + 1; p < len(modes); p++ {
+			modes[p] = "clos"
+		}
+		want := strings.Join(modes, ",")
+		if i == len(steps)-1 {
+			want = "global"
+		}
+		if got := sp.Attrs["to"]; got != want {
+			t.Fatalf("step %d converts to %v, want %s", i, got, want)
+		}
+		if total := sp.Attrs["modeled_total_seconds"].(float64); total <= 0.160 {
+			t.Fatalf("step %d modeled total %v at the OCS floor", i, total)
+		}
+	}
+	for _, s := range run.Samples {
+		if s.ConvertingPod >= 0 && s.CoreBandwidth <= 0 {
+			t.Fatalf("no bandwidth at t=%v while pod %d converts: the hybrid carries no traffic", s.T, s.ConvertingPod)
+		}
+	}
+	if m, uniform := tb.Ctrl.Network().Mode(); !uniform || m != core.ModeGlobal {
+		t.Fatalf("final mode %v (uniform=%v), want global", m, uniform)
+	}
+	again, err := tb.RunGradualConversion(core.ModeGlobal, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(conversions()); n != len(steps) || len(again.Samples) != 1 || again.Samples[0].ConvertingPod != -1 {
+		t.Fatalf("a second run made %d more conversions and %d samples, want none and only the final sample", n-len(steps), len(again.Samples))
 	}
 }
