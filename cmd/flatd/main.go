@@ -49,13 +49,30 @@ func main() {
 		spanLimit  = flag.Int("span-limit", 512, "request root spans kept in the telemetry registry (0 = unbounded)")
 	)
 	flag.Parse()
-	parallel.SetDefaultWorkers(*workers)
-
-	if err := run(*addr, *topoName, *full, *mode, *k, *detection, *sequential,
-		*pprofAddr, *reqTimeout, *drain, *spanLimit); err != nil {
+	err := checkFlags(*workers, *spanLimit)
+	if err == nil {
+		parallel.SetDefaultWorkers(*workers)
+		err = run(*addr, *topoName, *full, *mode, *k, *detection, *sequential,
+			*pprofAddr, *reqTimeout, *drain, *spanLimit)
+	}
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "flatd: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// checkFlags rejects the negative values that no consumer checks itself:
+// parallel.SetDefaultWorkers and Registry.SetRootSpanLimit would turn
+// them into their zero defaults (GOMAXPROCS, an unbounded history). The
+// durations, -k and -detection are checked by service.New.
+func checkFlags(workers, spanLimit int) error {
+	if workers < 0 {
+		return fmt.Errorf("-workers %d (want >= 0; 0 = GOMAXPROCS)", workers)
+	}
+	if spanLimit < 0 {
+		return fmt.Errorf("-span-limit %d (want >= 0; 0 = unbounded)", spanLimit)
+	}
+	return nil
 }
 
 func run(addr, topoName string, full bool, mode string, k int, detection float64,

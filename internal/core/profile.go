@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 
+	"flattree/internal/parallel"
 	"flattree/internal/topo"
 )
 
@@ -20,6 +21,9 @@ type ProfileResult struct {
 // candidate and the best one (shortest average path; ties prefer more
 // relocation capacity, then larger m). sampleStride > 1 samples every
 // sampleStride-th server as a BFS source to bound cost on large networks.
+// Candidates are evaluated on the default worker pool; all is in sweep
+// order and best is chosen in that order, so neither depends on the pool
+// size.
 func ProfileMN(clos topo.ClosParams, pattern Pattern, sampleStride int) (best ProfileResult, all []ProfileResult, err error) {
 	if sampleStride < 1 {
 		sampleStride = 1
@@ -29,24 +33,32 @@ func ProfileMN(clos topo.ClosParams, pattern Pattern, sampleStride int) (best Pr
 	if clos.ServersPerEdge < max {
 		max = clos.ServersPerEdge
 	}
-	best.AvgPathLength = math.Inf(1)
+	var cands []Options
 	for total := 1; total <= max; total++ {
 		for m := 0; m <= total; m++ {
-			n := total - m
-			nw, nerr := New(clos, Options{N: n, M: m, Pattern: pattern})
-			if nerr != nil {
-				continue
-			}
-			nw.SetMode(ModeGlobal)
-			r := nw.Realize()
-			apl := serverAPL(r, sampleStride)
-			res := ProfileResult{N: n, M: m, AvgPathLength: apl}
-			all = append(all, res)
-			if apl < best.AvgPathLength-1e-12 ||
-				(math.Abs(apl-best.AvgPathLength) <= 1e-12 && (n+m > best.N+best.M ||
-					(n+m == best.N+best.M && m > best.M))) {
-				best = res
-			}
+			cands = append(cands, Options{N: total - m, M: m, Pattern: pattern})
+		}
+	}
+	// An infeasible candidate leaves its slot nil.
+	evals, _ := parallel.Map(parallel.Default(), len(cands), func(i int) (*ProfileResult, error) {
+		nw, err := New(clos, cands[i])
+		if err != nil {
+			return nil, nil
+		}
+		nw.SetMode(ModeGlobal)
+		return &ProfileResult{N: cands[i].N, M: cands[i].M, AvgPathLength: serverAPL(nw.Realize(), sampleStride)}, nil
+	})
+	best.AvgPathLength = math.Inf(1)
+	for _, res := range evals {
+		if res == nil {
+			continue
+		}
+		all = append(all, *res)
+		apl, n, m := res.AvgPathLength, res.N, res.M
+		if apl < best.AvgPathLength-1e-12 ||
+			(math.Abs(apl-best.AvgPathLength) <= 1e-12 && (n+m > best.N+best.M ||
+				(n+m == best.N+best.M && m > best.M))) {
+			best = *res
 		}
 	}
 	if math.IsInf(best.AvgPathLength, 1) {
@@ -65,31 +77,47 @@ func (e *noFeasibleError) Error() string {
 	return "core: no feasible (n, m) for " + e.name
 }
 
-// serverAPL measures the average path length between server attachment
-// switches, sampling every strideth server as a source.
+// serverAPL measures the mean hop distance between the attachment switches
+// of server pairs, over every strideth server as the source and every
+// other server as the destination; unreachable pairs are left out.
+//
+// A pair's distance is its switches' distance, so the work is per switch:
+// one BFS per distinct sampled source switch, reduced to a row holding the
+// sum over reachable switches b of servers(b)·d and of servers(b). Each
+// sampled server adds its switch's row, less one pair for itself (at
+// distance 0). The sums are integers, so the result equals the per-pair
+// float64 sum bit for bit while every partial sum stays below 2^53.
 func serverAPL(r *Realization, stride int) float64 {
 	t := r.Topo
 	servers := t.Servers()
-	// Attachment switches, deduplicated per source for BFS reuse.
-	var total float64
-	var count int64
+	attach := make([]int, len(servers))
+	onSwitch := make([]int64, t.G.NumNodes())
+	for i, s := range servers {
+		attach[i] = t.AttachedSwitch(s)
+		onSwitch[attach[i]]++
+	}
+	type row struct {
+		total, count int64
+		done         bool
+	}
+	rows := make([]row, t.G.NumNodes())
+	var total, count int64
 	for i := 0; i < len(servers); i += stride {
-		src := t.AttachedSwitch(servers[i])
-		dist := t.G.BFSDistances(src)
-		for j, s := range servers {
-			if j == i {
-				continue
+		rw := &rows[attach[i]]
+		if !rw.done {
+			for b, d := range t.G.BFSDistances(attach[i]) {
+				if d >= 0 && onSwitch[b] > 0 {
+					rw.total += onSwitch[b] * int64(d)
+					rw.count += onSwitch[b]
+				}
 			}
-			d := dist[t.AttachedSwitch(s)]
-			if d < 0 {
-				continue
-			}
-			total += float64(d)
-			count++
+			rw.done = true
 		}
+		total += rw.total
+		count += rw.count - 1
 	}
 	if count == 0 {
 		return 0
 	}
-	return total / float64(count)
+	return float64(total) / float64(count)
 }

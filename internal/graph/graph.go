@@ -219,7 +219,9 @@ func (g *Graph) BFSDistances(src int) []int { return g.BFSDistancesBanned(src, n
 
 // BFSDistancesBanned is BFSDistances on the subgraph without the banned
 // links. As in KShortestPathsBanned, only true entries ban a link and nil
-// bans nothing.
+// bans nothing. A degree-1 neighbour gets its distance but is never
+// expanded: its only link leads back to the node that reached it. A
+// degree-1 source is expanded like any other.
 func (g *Graph) BFSDistancesBanned(src int, banned map[int]bool) []int {
 	dist := make([]int, g.n)
 	for i := range dist {
@@ -231,13 +233,15 @@ func (g *Graph) BFSDistancesBanned(src int, banned map[int]bool) []int {
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
 		for _, id := range g.adj[u] {
-			if banned[id] {
+			if banned != nil && banned[id] {
 				continue
 			}
 			v := g.links[id].Other(u)
 			if dist[v] < 0 {
 				dist[v] = dist[u] + 1
-				queue = append(queue, v)
+				if len(g.adj[v]) > 1 {
+					queue = append(queue, v)
+				}
 			}
 		}
 	}

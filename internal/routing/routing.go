@@ -110,17 +110,21 @@ func (tb *Table) ServerPaths(srcServer, dstServer int) []graph.Path {
 		}}
 	}
 	swPaths := tb.SwitchPaths(sSw, dSw)
-	out := make([]graph.Path, 0, len(swPaths))
+	hops := 0
 	for _, p := range swPaths {
-		nodes := make([]int, 0, len(p.Nodes)+2)
-		links := make([]int, 0, len(p.Links)+2)
-		nodes = append(nodes, srcServer)
-		nodes = append(nodes, p.Nodes...)
-		nodes = append(nodes, dstServer)
-		links = append(links, sUp)
-		links = append(links, p.Links...)
-		links = append(links, dUp)
-		out = append(out, graph.Path{Nodes: nodes, Links: links})
+		hops += len(p.Links) + 2
+	}
+	// One backing array each for every path's nodes and links; each path
+	// is capped, so a caller's append copies instead of overwriting the
+	// next path.
+	nodes := make([]int, 0, hops+len(swPaths))
+	links := make([]int, 0, hops)
+	out := make([]graph.Path, len(swPaths))
+	for i, p := range swPaths {
+		n, l := len(nodes), len(links)
+		nodes = append(append(append(nodes, srcServer), p.Nodes...), dstServer)
+		links = append(append(append(links, sUp), p.Links...), dUp)
+		out[i] = graph.Path{Nodes: nodes[n:len(nodes):len(nodes)], Links: links[l:len(links):len(links)]}
 	}
 	return out
 }
@@ -187,8 +191,8 @@ func (tb *Table) ECMPServerPath(srcServer, dstServer int, flowHash uint64) (grap
 	}
 	p := eq[int(flowHash%uint64(len(eq)))]
 	sUp, dUp := serverUplink(t, srcServer), serverUplink(t, dstServer)
-	nodes := append(append(append([]int(nil), srcServer), p.Nodes...), dstServer)
-	links := append(append(append([]int(nil), sUp), p.Links...), dUp)
+	nodes := append(append(append(make([]int, 0, len(p.Nodes)+2), srcServer), p.Nodes...), dstServer)
+	links := append(append(append(make([]int, 0, len(p.Links)+2), sUp), p.Links...), dUp)
 	return graph.Path{Nodes: nodes, Links: links}, true
 }
 

@@ -144,6 +144,44 @@ func TestTablePairNumbering(t *testing.T) {
 	}
 }
 
+// TestServerPathsAppendKeepsSiblings checks the one-backing-array layout
+// of ServerPaths: every path is its switch path between the two server
+// uplinks, and appending to one path's nodes or links (as a caller
+// extending a route might) leaves every other path of the same answer
+// unchanged.
+func TestServerPathsAppendKeepsSiblings(t *testing.T) {
+	_, r := exampleGlobal(t)
+	tb := BuildKShortest(r.Topo, 4)
+	servers := r.Topo.Servers()
+	src, dst := servers[0], servers[13]
+	sUp, dUp := r.Topo.G.Incident(src)[0], r.Topo.G.Incident(dst)[0]
+	swPaths := tb.SwitchPaths(r.Topo.AttachedSwitch(src), r.Topo.AttachedSwitch(dst))
+	paths := tb.ServerPaths(src, dst)
+	if len(paths) < 2 || len(paths) != len(swPaths) {
+		t.Fatalf("%d server paths for %d switch paths, want the same count and at least 2", len(paths), len(swPaths))
+	}
+	want := make([]graph.Path, len(paths))
+	for i, p := range swPaths {
+		want[i] = graph.Path{
+			Nodes: slices.Concat([]int{src}, p.Nodes, []int{dst}),
+			Links: slices.Concat([]int{sUp}, p.Links, []int{dUp}),
+		}
+	}
+	if !reflect.DeepEqual(paths, want) {
+		t.Fatalf("ServerPaths(%d, %d) = %v, want %v", src, dst, paths, want)
+	}
+	for i := range paths {
+		nodes := append(paths[i].Nodes, -1, -1, -1)
+		links := append(paths[i].Links, -1, -1, -1)
+		if !reflect.DeepEqual(paths, want) {
+			t.Fatalf("appending to path %d changed the answer: %v, want %v", i, paths, want)
+		}
+		if !slices.Equal(nodes, append(want[i].Nodes, -1, -1, -1)) || !slices.Equal(links, append(want[i].Links, -1, -1, -1)) {
+			t.Fatalf("path %d extended to %v / %v", i, nodes, links)
+		}
+	}
+}
+
 func TestServerPathsSameSwitch(t *testing.T) {
 	nw, err := core.ExampleNetwork()
 	if err != nil {

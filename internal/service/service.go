@@ -58,10 +58,11 @@ type Config struct {
 	// Registry receives request spans, counters, and /metrics output; nil
 	// uses the process-global registry (which may be disabled).
 	Registry *telemetry.Registry
-	// RequestTimeout bounds each request's handling time (default 10s).
+	// RequestTimeout bounds each request's handling time (default 10s);
+	// non-negative.
 	RequestTimeout time.Duration
 	// DrainTimeout bounds how long Run waits for in-flight requests after
-	// shutdown begins (default 15s).
+	// shutdown begins (default 15s); non-negative.
 	DrainTimeout time.Duration
 }
 
@@ -120,10 +121,16 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Registry == nil {
 		cfg.Registry = telemetry.Default()
 	}
-	if cfg.RequestTimeout <= 0 {
+	if cfg.RequestTimeout < 0 {
+		return nil, fmt.Errorf("service: Config.RequestTimeout %v (want >= 0; zero uses the default)", cfg.RequestTimeout)
+	}
+	if cfg.DrainTimeout < 0 {
+		return nil, fmt.Errorf("service: Config.DrainTimeout %v (want >= 0; zero uses the default)", cfg.DrainTimeout)
+	}
+	if cfg.RequestTimeout == 0 {
 		cfg.RequestTimeout = 10 * time.Second
 	}
-	if cfg.DrainTimeout <= 0 {
+	if cfg.DrainTimeout == 0 {
 		cfg.DrainTimeout = 15 * time.Second
 	}
 	t := cfg.Network.Realize().Topo

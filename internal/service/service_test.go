@@ -120,8 +120,9 @@ func switchLink(t *testing.T, tp *topo.Topology) (int, int) {
 // TestNewRejectsBadConfig pins New's exact error for each config it
 // refuses. A NaN detection or delay used to reach the link-event pricing:
 // the event was applied, then its response failed to encode; a negative
-// one priced a reaction below zero. Zero keeps its documented meaning:
-// the default.
+// one priced a reaction below zero. A negative request or drain timeout
+// used to become its default silently. Zero keeps its documented
+// meaning: the default.
 func TestNewRejectsBadConfig(t *testing.T) {
 	type testcase struct {
 		name           string
@@ -154,10 +155,17 @@ func TestNewRejectsBadConfig(t *testing.T) {
 			expectExactErr: "service: Config.Delay.PerRuleAdd NaN (want finite >= 0)"},
 		{name: "infinite ramp", cfg: Config{Delay: delay(func(d *control.DelayModel) { d.Ramp = math.Inf(-1) })},
 			expectExactErr: "service: Config.Delay.Ramp -Inf (want finite >= 0)"},
+		{name: "negative request timeout", cfg: Config{RequestTimeout: -time.Second},
+			expectExactErr: "service: Config.RequestTimeout -1s (want >= 0; zero uses the default)"},
+		{name: "negative drain timeout", cfg: Config{DrainTimeout: -1500 * time.Millisecond},
+			expectExactErr: "service: Config.DrainTimeout -1.5s (want >= 0; zero uses the default)"},
 		{name: "zero keeps its meaning", cfg: Config{Detection: 0, Delay: control.DelayModel{}},
 			expectFn: func(t *testing.T, srv *Server) {
 				if srv.cfg.Detection != 0.05 || srv.cfg.Delay != testDelay() {
 					t.Fatalf("zero config defaulted to detection %v, delay %+v", srv.cfg.Detection, srv.cfg.Delay)
+				}
+				if srv.cfg.RequestTimeout != 10*time.Second || srv.cfg.DrainTimeout != 15*time.Second {
+					t.Fatalf("zero config defaulted to request timeout %v, drain timeout %v", srv.cfg.RequestTimeout, srv.cfg.DrainTimeout)
 				}
 			}},
 	}
