@@ -43,6 +43,10 @@ func main() {
 		runinfo  = flag.String("runinfo", "runinfo.json", "write the provenance manifest to this file, or '-' for stdout; empty disables (with -record the manifest goes to <base>.runinfo.json instead)")
 	)
 	flag.Parse()
+	if err := parallel.CheckWorkers(*workers); err != nil {
+		fmt.Fprintf(os.Stderr, "benchtables: %v\n", err)
+		os.Exit(2)
+	}
 	parallel.SetDefaultWorkers(*workers)
 	cfg := experiments.Config{Full: *full, Seed: *seed, Epsilon: *epsilon, FBMixFlows: *fbmix}
 	reg := telemetry.Enable()

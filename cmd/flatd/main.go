@@ -66,8 +66,8 @@ func main() {
 // them into their zero defaults (GOMAXPROCS, an unbounded history). The
 // durations, -k and -detection are checked by service.New.
 func checkFlags(workers, spanLimit int) error {
-	if workers < 0 {
-		return fmt.Errorf("-workers %d (want >= 0; 0 = GOMAXPROCS)", workers)
+	if err := parallel.CheckWorkers(workers); err != nil {
+		return err
 	}
 	if spanLimit < 0 {
 		return fmt.Errorf("-span-limit %d (want >= 0; 0 = unbounded)", spanLimit)

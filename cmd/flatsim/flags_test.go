@@ -1,0 +1,54 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+)
+
+// TestMain runs flatsim's main instead of the tests when the environment
+// asks for it, so a test can start flatsim as a child process with the
+// newline-separated arguments in FLATSIM_TEST_ARGS.
+func TestMain(m *testing.M) {
+	if os.Getenv("FLATSIM_TEST_MAIN") == "1" {
+		os.Args = append([]string{"flatsim"}, strings.Split(os.Getenv("FLATSIM_TEST_ARGS"), "\n")...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestNegativeWorkersRejected starts flatsim with -workers -3, which
+// used to run on GOMAXPROCS workers while the provenance manifest
+// recorded -3: it must exit 2 with the exact error before running the
+// experiment or writing the manifest.
+func TestNegativeWorkersRejected(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	runinfo := filepath.Join(t.TempDir(), "ri.json")
+	args := []string{"-workers", "-3", "-exp", "props", "-runinfo", runinfo}
+	cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^$")
+	cmd.Env = append(os.Environ(), "FLATSIM_TEST_MAIN=1", "FLATSIM_TEST_ARGS="+strings.Join(args, "\n"))
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("flatsim %v: %v, want exit status 2; stderr:\n%s", args, err, stderr.String())
+	}
+	if want := "flatsim: -workers -3 (want >= 0; 0 = GOMAXPROCS)\n"; stderr.String() != want {
+		t.Fatalf("flatsim %v stderr = %q, want %q", args, stderr.String(), want)
+	}
+	if stdout.Len() != 0 {
+		t.Fatalf("flatsim %v ran the experiment:\n%s", args, stdout.String())
+	}
+	if _, err := os.Stat(runinfo); !os.IsNotExist(err) {
+		t.Fatalf("flatsim %v wrote a provenance manifest (stat: %v)", args, err)
+	}
+}

@@ -137,6 +137,29 @@ func TestBadDirExitsTwo(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadFlags checks the flag errors run reports before
+// loading anything: each exits 2 with its exact message. A negative
+// -workers used to be skipped, so the analysis ran on GOMAXPROCS
+// workers.
+func TestRunRejectsBadFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args   []string
+		stderr string
+	}{
+		{[]string{"-workers", "-3"}, "flatvet: -workers -3 (want >= 0; 0 = GOMAXPROCS)\n"},
+	} {
+		t.Run(tc.args[0], func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			args := append([]string{"-C", filepath.Join("testdata", "clean")}, tc.args...)
+			code := run(append(args, "./..."), &stdout, &stderr)
+			if code != 2 || stderr.String() != tc.stderr || stdout.Len() != 0 {
+				t.Fatalf("flatvet %v = exit %d, stderr %q, stdout %q; want exit 2, stderr %q, no stdout",
+					args, code, stderr.String(), stdout.String(), tc.stderr)
+			}
+		})
+	}
+}
+
 // TestWholeTreeClean runs the suite over this repository itself: the
 // tree must stay flatvet-clean, with every surviving map range either
 // rewritten to sorted keys or carrying a reasoned waiver.

@@ -64,6 +64,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if err := parallel.CheckWorkers(*workers); err != nil {
+		fmt.Fprintf(stderr, "flatvet: %v\n", err)
+		return 2
+	}
 	if *workers > 0 {
 		parallel.SetDefaultWorkers(*workers)
 	}

@@ -1,6 +1,7 @@
 package flattree_test
 
 import (
+	"slices"
 	"testing"
 
 	"flattree"
@@ -56,6 +57,44 @@ func TestPublicAPIHybrid(t *testing.T) {
 		if got[i] != modes[i] {
 			t.Fatalf("pod %d mode %v, want %v", i, got[i], modes[i])
 		}
+	}
+}
+
+// TestConvertRejectsInvalidMode checks that a mode outside clos, local
+// and global is refused with an exact error and never reaches the
+// network: the pod modes and the installed topology stay as they were.
+// Both calls used to set the modes and then panic while realizing them.
+func TestConvertRejectsInvalidMode(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		convert func(*flattree.Network) error
+		want    string
+	}{
+		{"Convert", func(nw *flattree.Network) error {
+			_, err := nw.Convert(flattree.Mode(7))
+			return err
+		}, "core: invalid mode Mode(7) (want clos, local or global)"},
+		{"ConvertPods", func(nw *flattree.Network) error {
+			_, err := nw.ConvertPods([]flattree.Mode{flattree.ModeGlobal, flattree.ModeGlobal, flattree.Mode(-1), flattree.ModeClos})
+			return err
+		}, "core: invalid mode Mode(-1) (want clos, local or global)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nw, err := flattree.NewNetwork(flattree.Example(), flattree.Options{N: 1, M: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			modes, fp := nw.PodModes(), nw.Topology().Fingerprint()
+			if err := tc.convert(nw); err == nil || err.Error() != tc.want {
+				t.Fatalf("%s error = %v, want %q", tc.name, err, tc.want)
+			}
+			if got := nw.PodModes(); !slices.Equal(got, modes) {
+				t.Fatalf("%s left pod modes %v, want %v", tc.name, got, modes)
+			}
+			if got := nw.Topology().Fingerprint(); got != fp {
+				t.Fatalf("%s changed the topology fingerprint %s to %s", tc.name, fp, got)
+			}
+		})
 	}
 }
 

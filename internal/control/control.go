@@ -304,8 +304,14 @@ func (c *Controller) convert(modes []core.Mode) (*ConversionReport, routing.Rule
 	return rep, delta, nil
 }
 
-// setModes assigns every pod its mode.
+// setModes assigns every pod its mode. It checks every mode before it
+// sets any, so an invalid one leaves the network as it was.
 func (c *Controller) setModes(modes []core.Mode) error {
+	for _, m := range modes {
+		if err := core.CheckMode(m); err != nil {
+			return err
+		}
+	}
 	for pod, m := range modes {
 		if err := c.nw.SetPodMode(pod, m); err != nil {
 			return err

@@ -266,12 +266,26 @@ func (nw *Network) SetMode(m Mode) {
 	}
 }
 
-// SetPodMode sets one pod's mode (hybrid operation, §3.5).
+// SetPodMode sets one pod's mode (hybrid operation, §3.5). It rejects a
+// pod out of range and a mode other than clos, local and global
+// (CheckMode), leaving the modes as they were.
 func (nw *Network) SetPodMode(pod int, m Mode) error {
 	if pod < 0 || pod >= len(nw.podModes) {
 		return fmt.Errorf("core: pod %d out of range [0, %d)", pod, len(nw.podModes))
 	}
+	if err := CheckMode(m); err != nil {
+		return err
+	}
 	nw.podModes[pod] = m
+	return nil
+}
+
+// CheckMode returns an error for a mode other than clos, local and
+// global, which Realize could not wire.
+func CheckMode(m Mode) error {
+	if m < ModeClos || m > ModeGlobal {
+		return fmt.Errorf("core: invalid mode %v (want clos, local or global)", m)
+	}
 	return nil
 }
 

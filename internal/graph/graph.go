@@ -221,30 +221,15 @@ func (g *Graph) BFSDistances(src int) []int { return g.BFSDistancesBanned(src, n
 // links. As in KShortestPathsBanned, only true entries ban a link and nil
 // bans nothing. A degree-1 neighbour gets its distance but is never
 // expanded: its only link leads back to the node that reached it. A
-// degree-1 source is expanded like any other.
+// degree-1 source is expanded like any other. It runs the loop behind
+// Yen's distance rows (scratch.distances) on a pooled scratch.
 func (g *Graph) BFSDistancesBanned(src int, banned map[int]bool) []int {
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	s.fit(g)
+	s.bans = sortedBans(s.bans, g, banned)
 	dist := make([]int, g.n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
-	queue := make([]int, 1, g.n)
-	queue[0] = src
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		for _, id := range g.adj[u] {
-			if banned != nil && banned[id] {
-				continue
-			}
-			v := g.links[id].Other(u)
-			if dist[v] < 0 {
-				dist[v] = dist[u] + 1
-				if len(g.adj[v]) > 1 {
-					queue = append(queue, v)
-				}
-			}
-		}
-	}
+	s.distances(g, src, s.bans, dist)
 	return dist
 }
 

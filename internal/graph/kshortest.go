@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"math"
 	"sort"
+	"sync/atomic"
 
 	"flattree/internal/parallel"
 	"flattree/internal/telemetry"
@@ -24,7 +26,9 @@ func (g *Graph) KShortestPaths(src, dst, k int) []Path {
 // set, the same graph yields the same paths in the same order.
 //
 // Every search runs the pooled stamped BFS (scratch.search); the returned
-// paths share one backing array allocated for the caller.
+// paths share one backing array allocated for the caller. The call
+// computes dst's distance row in the pooled scratch; a batch of pairs
+// shares one row per destination through KShortestPairs instead.
 func (g *Graph) KShortestPathsBanned(src, dst, k int, banned map[int]bool) []Path {
 	if k <= 0 {
 		return nil
@@ -34,11 +38,62 @@ func (g *Graph) KShortestPathsBanned(src, dst, k int, banned map[int]bool) []Pat
 	return s.yen(g, src, dst, k, banned)
 }
 
-// yen is KShortestPathsBanned on this scratch.
+// yen is KShortestPathsBanned on this scratch: it sorts the ban set into
+// the scratch and, when spurs can run (k > 1), computes dst's distance
+// row there for this call alone.
 func (s *scratch) yen(g *Graph, src, dst, k int, banned map[int]bool) []Path {
 	s.fit(g)
-	s.reset(g, banned)
-	if !s.search(g, src, dst, s.stampBans()) {
+	s.bans = sortedBans(s.bans, g, banned)
+	var row []int
+	if k > 1 {
+		row = s.row[:g.n]
+		s.distances(g, dst, s.bans, row)
+	}
+	return s.kshortest(g, src, dst, k, s.bans, row)
+}
+
+// kshortest is bounded Yen on this scratch, with the caller's bans
+// (ascending in-range link IDs) and dst's distance row over them (row[v]
+// the hop distance from v to dst, -1 when dst is unreachable; nil is
+// allowed only for k = 1). It skips every spur search whose result could
+// never be accepted and limits the depth of the others, and returns
+// exactly what unbounded Yen returns. The three rules:
+//
+// Pool bound H. Let need = k − |accepted|. Once the pool holds at least
+// need candidates, H is the hop count of the need-th in acceptance
+// order (fewer hops, then earlier discovery). A candidate stored from
+// now on has a later discovery than every stored one, so with H hops or
+// more it sorts after those need; they leave the pool only by
+// acceptance, and the run stops after need more acceptances, so it is
+// never accepted. H never rises: an acceptance takes the first of the
+// need and lowers need by one, and a new candidate can only move the
+// need-th forward. Storing a candidate of H hops or more, or not,
+// changes only entries that are never accepted: it sorts after the
+// need-th, so H stays, and deduplication drops only a path with the
+// same node sequence, hence the same hop count.
+//
+// Spur skip. A spur from root[i] yields a path of at least
+// i + row[root[i]] hops, because the spur bans and the root-node bans
+// only remove links and nodes from the graph row was computed on. The
+// spur is skipped when that reaches H. (dst is always reachable from
+// root[i]: the previous path reaches it over unbanned links.)
+//
+// Depth limit. A spur that runs searches with limit H − i: it does not
+// enqueue a node v first reached at depth t when i + t + row[v] >= H.
+// The returned path is the same whenever it is shorter than H (see
+// search), and when it is not, whatever the limited search returns is
+// no shorter — a search on a subgraph — so by the pool bound it is
+// never accepted either way.
+//
+// Not used, because nothing here establishes it: "later candidates are
+// no shorter than the last accepted path". Spur bans act per link while
+// deduplication acts per node sequence, so with parallel twins a later
+// candidate can be shorter.
+func (s *scratch) kshortest(g *Graph, src, dst, k int, bans, row []int) []Path {
+	s.arena, s.paths = s.arena[:0], s.paths[:0]
+	s.cands, s.accepted = s.cands[:0], s.accepted[:0]
+	s.spurs, s.skipped, s.pruned = 0, 0, 0
+	if k <= 0 || !s.search(g, src, dst, s.stampBans(bans), row, math.MaxInt) {
 		return nil
 	}
 	s.store(g, span{}, 0, src, dst)
@@ -46,9 +101,15 @@ func (s *scratch) yen(g *Graph, src, dst, k int, banned map[int]bool) []Path {
 
 	for len(s.accepted) < k {
 		prev := s.paths[s.accepted[len(s.accepted)-1]]
+		h := s.bound(k)
 		// Spur from every node of the previous path except the last.
 		for i := 0; i < prev.hops; i++ {
-			st := s.stampBans()
+			spur := s.arena[prev.off+i]
+			if i+row[spur] >= h {
+				s.skipped++
+				continue
+			}
+			st := s.stampBans(bans)
 			root := s.arena[prev.off : prev.off+i+1]
 			// Ban the next link of every accepted path sharing this root.
 			for _, a := range s.accepted {
@@ -60,24 +121,42 @@ func (s *scratch) yen(g *Graph, src, dst, k int, banned map[int]bool) []Path {
 			for _, n := range root[:i] {
 				s.visit[n] = st
 			}
-			if s.search(g, root[i], dst, st) && s.store(g, prev, i, root[i], dst) {
-				s.cands = append(s.cands, len(s.paths)-1)
+			s.spurs++
+			if s.search(g, spur, dst, st, row, h-i) && s.store(g, prev, i, spur, dst) {
+				s.push(len(s.paths) - 1)
+				h = s.bound(k)
 			}
 		}
 		if len(s.cands) == 0 {
 			break
 		}
-		best := 0
-		for j := 1; j < len(s.cands); j++ {
-			if s.before(s.cands[j], s.cands[best]) {
-				best = j
-			}
-		}
-		s.accepted = append(s.accepted, s.cands[best])
-		s.cands[best] = s.cands[len(s.cands)-1]
+		s.accepted = append(s.accepted, s.cands[len(s.cands)-1])
 		s.cands = s.cands[:len(s.cands)-1]
 	}
 	return s.export()
+}
+
+// bound returns the pool bound H for a run to k paths: the hop count of
+// the need-th candidate in acceptance order, or math.MaxInt while the
+// pool holds fewer than need.
+func (s *scratch) bound(k int) int {
+	need := k - len(s.accepted)
+	if len(s.cands) < need {
+		return math.MaxInt
+	}
+	return s.paths[s.cands[len(s.cands)-need]].hops
+}
+
+// push adds candidate c to the pool, keeping it in reverse acceptance
+// order: every candidate accepted before c moves one place toward the
+// end.
+func (s *scratch) push(c int) {
+	j := len(s.cands)
+	s.cands = append(s.cands, c)
+	for ; j > 0 && s.before(s.cands[j-1], c); j-- {
+		s.cands[j] = s.cands[j-1]
+	}
+	s.cands[j] = c
 }
 
 // before orders candidates as Yen accepts them: fewer hops first, then
@@ -89,10 +168,10 @@ func (s *scratch) before(a, b int) bool {
 	return a < b
 }
 
-// reset clears the Yen state and records the in-range link IDs banned
+// sortedBans returns, in buf's storage, the in-range link IDs banned
 // maps to true, sorted so nothing downstream sees map order.
-func (s *scratch) reset(g *Graph, banned map[int]bool) {
-	ids := s.bans[:0]
+func sortedBans(buf []int, g *Graph, banned map[int]bool) []int {
+	ids := buf[:0]
 	for id := range banned {
 		ids = append(ids, id)
 	}
@@ -104,16 +183,14 @@ func (s *scratch) reset(g *Graph, banned map[int]bool) {
 			n++
 		}
 	}
-	s.bans = ids[:n]
-	s.arena, s.paths = s.arena[:0], s.paths[:0]
-	s.cands, s.accepted = s.cands[:0], s.accepted[:0]
+	return ids[:n]
 }
 
-// stampBans draws the stamp for the next search and bans the caller's
+// stampBans draws the stamp for the next search and bans the given
 // links under it.
-func (s *scratch) stampBans() uint32 {
+func (s *scratch) stampBans(bans []int) uint32 {
 	st := s.next()
-	for _, id := range s.bans {
+	for _, id := range bans {
 		s.ban[id] = st
 	}
 	return st
@@ -122,17 +199,62 @@ func (s *scratch) stampBans() uint32 {
 // PairKey identifies an ordered (src, dst) node pair in path tables.
 type PairKey struct{ Src, Dst int }
 
-// KShortestAllPairs computes k-shortest paths for every ordered pair in
-// pairs on the shared bounded worker pool (at most parallel.DefaultWorkers
-// goroutines, whatever the pair count). The result holds each pair's path
-// list at the pair's index in pairs. Pair computations are independent,
-// mirroring the paper's note that k-shortest-path routing parallelizes
-// trivially (§4.3); each task takes its own search scratch from the pool,
-// and results are collected by index, so the table is identical for any
-// worker count.
+// KShortestAllPairs is KShortestPairs with no links banned: the healthy
+// route table's computation.
 func (g *Graph) KShortestAllPairs(pairs []PairKey, k int) [][]Path {
-	results, _ := parallel.Map(parallel.Default(), len(pairs), func(i int) ([]Path, error) {
-		return g.KShortestPaths(pairs[i].Src, pairs[i].Dst, k), nil
+	return g.KShortestPairs(pairs, k, nil)
+}
+
+// KShortestPairs computes KShortestPathsBanned for every ordered pair in
+// pairs, all on one banned set, on the shared bounded worker pool (at
+// most parallel.DefaultWorkers goroutines, whatever the pair count). The
+// result holds each pair's path list at the pair's index in pairs. It
+// sorts the banned set once and computes one distance row per distinct
+// destination (a reverse BFS over the unbanned links, one pool task
+// each), which every pair toward that destination shares. Pair
+// computations are then independent, mirroring the paper's note that
+// k-shortest-path routing parallelizes trivially (§4.3); each task
+// takes its own search scratch from the pool, and results are collected
+// by index, so the table is identical for any worker count.
+//
+// Once per batch it adds the pairs, the paths, the spur searches run
+// and skipped, and the nodes the depth limit kept out of a search to
+// the graph_yen_* counters.
+func (g *Graph) KShortestPairs(pairs []PairKey, k int, banned map[int]bool) [][]Path {
+	bans := sortedBans(nil, g, banned)
+	// at[v] is 1 + the index of v's row in rows, 0 while v is no pair's
+	// destination.
+	at := make([]int32, g.n)
+	dsts := make([]int, 0, min(len(pairs), g.n))
+	for _, pk := range pairs {
+		if at[pk.Dst] == 0 {
+			dsts = append(dsts, pk.Dst)
+			at[pk.Dst] = int32(len(dsts))
+		}
+	}
+	rows := make([]int, len(dsts)*g.n)
+	rowOf := func(dst int) []int {
+		j := int(at[dst]-1) * g.n
+		return rows[j : j+g.n : j+g.n]
+	}
+	pool := parallel.Default()
+	pool.ForEach(len(dsts), func(j int) {
+		s := scratchPool.Get().(*scratch)
+		defer scratchPool.Put(s)
+		s.fit(g)
+		s.distances(g, dsts[j], bans, rowOf(dsts[j]))
+	})
+	var spurs, skipped, pruned atomic.Int64
+	results, _ := parallel.Map(pool, len(pairs), func(i int) ([]Path, error) {
+		s := scratchPool.Get().(*scratch)
+		defer scratchPool.Put(s)
+		s.fit(g)
+		pk := pairs[i]
+		paths := s.kshortest(g, pk.Src, pk.Dst, k, bans, rowOf(pk.Dst))
+		spurs.Add(int64(s.spurs))
+		skipped.Add(int64(s.skipped))
+		pruned.Add(int64(s.pruned))
+		return paths, nil
 	})
 	var nPaths int64
 	for _, paths := range results {
@@ -140,5 +262,8 @@ func (g *Graph) KShortestAllPairs(pairs []PairKey, k int) [][]Path {
 	}
 	telemetry.C("graph_yen_pairs_total").Add(int64(len(pairs)))
 	telemetry.C("graph_yen_paths_total").Add(nPaths)
+	telemetry.C("graph_yen_spurs_total").Add(spurs.Load())
+	telemetry.C("graph_yen_spurs_skipped_total").Add(skipped.Load())
+	telemetry.C("graph_yen_pruned_nodes_total").Add(pruned.Load())
 	return results
 }

@@ -65,6 +65,17 @@ func SetDefaultWorkers(n int) {
 	defaultWorkers.Store(int64(n))
 }
 
+// CheckWorkers rejects a negative -workers flag value: SetDefaultWorkers
+// would run it as the GOMAXPROCS default while a run's provenance
+// manifest records the value given. Every binary with the flag calls it
+// before doing any work and prints the error after its name.
+func CheckWorkers(n int) error {
+	if n < 0 {
+		return fmt.Errorf("-workers %d (want >= 0; 0 = GOMAXPROCS)", n)
+	}
+	return nil
+}
+
 // DefaultWorkers returns the process-wide default pool size: the value of
 // the last SetDefaultWorkers call, or GOMAXPROCS.
 func DefaultWorkers() int {

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"flattree/internal/graph"
-	"flattree/internal/parallel"
 	"flattree/internal/recorder"
 	"flattree/internal/telemetry"
 	"flattree/internal/topo"
@@ -419,20 +418,19 @@ func hopsThrough(du, dv []int, s, d int) int {
 	return best
 }
 
-// recompute re-runs banned-link Yen for the numbered pairs on the shared
-// worker pool and installs the results. Pair computations are
-// independent and collected by index, so the table is identical for any
-// worker count.
+// recompute re-runs banned-link Yen for the numbered pairs as one
+// graph.KShortestPairs batch on the shared worker pool (one distance row
+// per destination, pairs collected by index, so the table is identical
+// for any worker count) and installs the results.
 func (it *IncrementalTable) recompute(pairs []int32) {
 	if len(pairs) == 0 {
 		return
 	}
-	g := it.base.topo.G
-	k := it.base.K
-	results, _ := parallel.Map(parallel.Default(), len(pairs), func(i int) ([]graph.Path, error) {
-		pk := it.base.Pair(int(pairs[i]))
-		return g.KShortestPathsBanned(pk.Src, pk.Dst, k, it.banned), nil
-	})
+	keys := make([]graph.PairKey, len(pairs))
+	for i, pi := range pairs {
+		keys[i] = it.base.Pair(int(pi))
+	}
+	results := it.base.topo.G.KShortestPairs(keys, it.base.K, it.banned)
 	for i, pi := range pairs {
 		it.install(pi, results[i])
 	}

@@ -40,7 +40,9 @@ func (t *Topology) Fingerprint() string {
 	wi(len(t.servers))
 	for _, s := range t.servers {
 		wi(s)
-		wi(t.attach[s])
+		// An unattached server (-1) hashes as switch 0, which keeps the
+		// encoding, and so every fingerprint, fixed.
+		wi(max(t.attach[s], 0))
 	}
 	links := t.G.Links()
 	wi(len(links))

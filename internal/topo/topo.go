@@ -68,16 +68,18 @@ type Topology struct {
 	edges   []int
 	aggs    []int
 	cores   []int
-	// attach[serverID] = switch the server is wired to (servers have
-	// exactly one uplink in every architecture in the paper).
-	attach map[int]int
+	// attach[nodeID] = switch the server is wired to (servers have
+	// exactly one uplink in every architecture in the paper), -1 for a
+	// switch or an unattached server. Indexed by node ID, one entry per
+	// node.
+	attach []int
 	// pods is the number of pods, 0 for unstructured topologies.
 	pods int
 }
 
 // NewTopology returns an empty named topology.
 func NewTopology(name string) *Topology {
-	return &Topology{Name: name, G: graph.New(0), attach: map[int]int{}}
+	return &Topology{Name: name, G: graph.New(0)}
 }
 
 // AddNode appends a node of the given kind and returns its ID.
@@ -99,6 +101,7 @@ func (t *Topology) AddNode(kind Kind, pod int) int {
 		t.cores = append(t.cores, id)
 	}
 	t.Nodes = append(t.Nodes, n)
+	t.attach = append(t.attach, -1)
 	return id
 }
 
@@ -115,7 +118,7 @@ func (t *Topology) AttachServer(s, sw int) {
 	if t.Nodes[sw].Kind == Server {
 		panic(fmt.Sprintf("topo: AttachServer: target %d is a server", sw))
 	}
-	if _, dup := t.attach[s]; dup {
+	if t.attach[s] >= 0 {
 		panic(fmt.Sprintf("topo: server %d attached twice", s))
 	}
 	t.AddLink(s, sw)
@@ -151,11 +154,10 @@ func (t *Topology) SetNumPods(p int) { t.pods = p }
 
 // AttachedSwitch returns the switch a server is wired to.
 func (t *Topology) AttachedSwitch(server int) int {
-	sw, ok := t.attach[server]
-	if !ok {
+	if server < 0 || server >= len(t.attach) || t.attach[server] < 0 {
 		panic(fmt.Sprintf("topo: server %d has no attachment", server))
 	}
-	return sw
+	return t.attach[server]
 }
 
 // ServersOn returns the servers attached to switch sw, in server-index order.
@@ -184,7 +186,7 @@ func (t *Topology) Validate() error {
 		if d := t.G.Degree(s); d != 1 {
 			return fmt.Errorf("topo %q: server %d has degree %d, want 1", t.Name, s, d)
 		}
-		if _, ok := t.attach[s]; !ok {
+		if t.attach[s] < 0 {
 			return fmt.Errorf("topo %q: server %d unattached", t.Name, s)
 		}
 	}
