@@ -43,7 +43,7 @@ func main() {
 		runinfo  = flag.String("runinfo", "runinfo.json", "write the provenance manifest to this file, or '-' for stdout; empty disables (with -record the manifest goes to <base>.runinfo.json instead)")
 	)
 	flag.Parse()
-	if err := parallel.CheckWorkers(*workers); err != nil {
+	if err := experiments.CheckFlags(*workers, *epsilon, *fbmix, *recLimit); err != nil {
 		fmt.Fprintf(os.Stderr, "benchtables: %v\n", err)
 		os.Exit(2)
 	}

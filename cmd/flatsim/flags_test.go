@@ -52,3 +52,47 @@ func TestNegativeWorkersRejected(t *testing.T) {
 		t.Fatalf("flatsim %v wrote a provenance manifest (stat: %v)", args, err)
 	}
 }
+
+// TestBadFlagsRejected starts flatsim with each flag value that used to
+// run silently as something else — an ε of NaN or 5 printed NaN tables,
+// a negative or zero ε ran at mcf's default 0.1, and a negative
+// -fbmix-flows or -record-limit became its default — and requires exit
+// status 2 with the exact error before any experiment runs or the
+// provenance manifest is written.
+func TestBadFlagsRejected(t *testing.T) {
+	for _, tc := range []struct {
+		flag, value, want string
+	}{
+		{"-epsilon", "NaN", "flatsim: -epsilon NaN (want > 0 and < 1)\n"},
+		{"-epsilon", "-1", "flatsim: -epsilon -1 (want > 0 and < 1)\n"},
+		{"-epsilon", "0", "flatsim: -epsilon 0 (want > 0 and < 1)\n"},
+		{"-epsilon", "5", "flatsim: -epsilon 5 (want > 0 and < 1)\n"},
+		{"-fbmix-flows", "-5", "flatsim: -fbmix-flows -5 (want >= 0; 0 = scale default)\n"},
+		{"-record-limit", "-1", "flatsim: -record-limit -1 (want >= 0; 0 = recorder default)\n"},
+	} {
+		t.Run(tc.flag+"="+tc.value, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			runinfo := filepath.Join(t.TempDir(), "ri.json")
+			args := []string{tc.flag, tc.value, "-exp", "table1", "-runinfo", runinfo}
+			cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^$")
+			cmd.Env = append(os.Environ(), "FLATSIM_TEST_MAIN=1", "FLATSIM_TEST_ARGS="+strings.Join(args, "\n"))
+			var stdout, stderr bytes.Buffer
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			err := cmd.Run()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+				t.Fatalf("flatsim %v: %v, want exit status 2; stderr:\n%s", args, err, stderr.String())
+			}
+			if stderr.String() != tc.want {
+				t.Fatalf("flatsim %v stderr = %q, want %q", args, stderr.String(), tc.want)
+			}
+			if stdout.Len() != 0 {
+				t.Fatalf("flatsim %v ran experiments:\n%s", args, stdout.String())
+			}
+			if _, err := os.Stat(runinfo); !os.IsNotExist(err) {
+				t.Fatalf("flatsim %v wrote a provenance manifest (stat: %v)", args, err)
+			}
+		})
+	}
+}

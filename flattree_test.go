@@ -98,6 +98,28 @@ func TestConvertRejectsInvalidMode(t *testing.T) {
 	}
 }
 
+// TestNewNetworkKRejectsInvalidMode pins the error for a kByMode key
+// that is not a mode, which used to be ignored: the lowest bad key is
+// reported, whatever the map's iteration order.
+func TestNewNetworkKRejectsInvalidMode(t *testing.T) {
+	for _, tc := range []struct {
+		kByMode map[flattree.Mode]int
+		want    string
+	}{
+		{map[flattree.Mode]int{flattree.Mode(7): 2},
+			"control: kByMode: core: invalid mode Mode(7) (want clos, local or global)"},
+		{map[flattree.Mode]int{flattree.ModeGlobal: 8, flattree.Mode(9): 2, flattree.Mode(-2): 3, flattree.Mode(5): 4},
+			"control: kByMode: core: invalid mode Mode(-2) (want clos, local or global)"},
+	} {
+		for i := 0; i < 5; i++ {
+			nw, err := flattree.NewNetworkK(flattree.Example(), flattree.Options{N: 1, M: 1}, tc.kByMode)
+			if nw != nil || err == nil || err.Error() != tc.want {
+				t.Fatalf("NewNetworkK(%v) = %v, %v; want error %q", tc.kByMode, nw, err, tc.want)
+			}
+		}
+	}
+}
+
 func TestTableAndFatTreeConstructors(t *testing.T) {
 	if got := len(flattree.Table2()); got != 6 {
 		t.Fatalf("Table2 = %d topologies", got)

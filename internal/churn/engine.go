@@ -98,7 +98,7 @@ func (e *Engine) Compile(trace Trace, conns []Conn) (*Plan, error) {
 		}
 	}
 	table := routing.BuildKShortestCached(t, k)
-	inc := routing.NewIncremental(table)
+	inc := routing.NewIncremental(table, nil)
 	inc.SetRecorder(e.Rec)
 	view := inc.View()
 	specs := make([]flowsim.ConnSpec, len(conns))
@@ -116,32 +116,23 @@ func (e *Engine) Compile(trace Trace, conns []Conn) (*Plan, error) {
 	reactions := make([]float64, 0, len(trace))
 	deltas := make([]routing.RuleDelta, 0, len(trace))
 	for _, ev := range trace {
-		// The table's masking rule picks the link, as it does for flatd.
-		link, err := inc.LinkBetween(ev.A, ev.B, ev.Repair)
+		// The table's masking rule picks the link, as it does for flatd,
+		// and repairs only the pairs the event touches; the exact rule
+		// delta prices the reaction — §4.3's "only the changed rules are
+		// touched".
+		inc.SetSimTime(ev.Time)
+		link, delta, err := inc.Apply(ev.A, ev.B, ev.Repair)
 		if err != nil {
 			return nil, fmt.Errorf("churn: event at t=%v: %w", ev.Time, err)
 		}
-		cap, kind := 0.0, recorder.LinkFail
+		cap := 0.0
 		if ev.Repair {
-			cap, kind = t.G.Link(link).Capacity, recorder.LinkRepair
+			cap = t.G.Link(link).Capacity
 		}
-		e.Rec.Emit(recorder.Event{T: ev.Time, Kind: kind, ID: link, A: int64(ev.A), B: int64(ev.B)})
 		events = append(events, flowsim.TopoEvent{
 			Time:    ev.Time,
 			SetCaps: map[int]float64{2 * link: cap, 2*link + 1: cap},
 		})
-
-		// Control-plane reaction: the incremental layer repairs only the
-		// pairs the event touches and reports the exact per-switch rule
-		// delta, which prices the reaction — §4.3's "only the changed
-		// rules are touched".
-		var delta routing.RuleDelta
-		inc.SetSimTime(ev.Time)
-		if ev.Repair {
-			delta = inc.Repair(link)
-		} else {
-			delta = inc.Fail(link)
-		}
 		delay := ReactionTime(e.Detection, delta, e.Delay)
 		reactions = append(reactions, delay)
 		deltas = append(deltas, delta)

@@ -7,8 +7,10 @@
 package control
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"flattree/internal/core"
@@ -107,13 +109,14 @@ type Controller struct {
 	K map[core.Mode]int
 
 	// realization is the healthy realization of the current modes; inc
-	// holds its route table with the recorded failures masked. Both are
-	// replaced, never mutated, by each reinstall.
+	// holds its route table and the failure record (§4.3 failure
+	// handling; see failures.go). Each reinstall replaces both; link
+	// events mutate inc.
 	realization *core.Realization
 	inc         *routing.IncrementalTable
-	// failed counts recorded link failures by endpoint pair (§4.3
-	// failure handling; see failures.go).
-	failed map[[2]int]int
+	// table is a frozen copy of inc's view, taken after every change of
+	// state, that Table returns.
+	table *routing.Table
 	// lastCompute is the most recent reinstall's route-installation time
 	// for conversion reports.
 	lastCompute float64
@@ -126,19 +129,25 @@ type Controller struct {
 
 // NewController initializes the controller in the network's current mode
 // and installs its routing state. kByMode maps each mode to its k; missing
-// modes default to 4.
+// modes default to 4. It reports the lowest key that is not a mode or
+// maps to a k below 1.
 func NewController(nw *core.Network, delay DelayModel, kByMode map[core.Mode]int) (*Controller, error) {
-	c := &Controller{nw: nw, delay: delay, K: make(map[core.Mode]int), failed: make(map[[2]int]int)}
-	for _, m := range []core.Mode{core.ModeClos, core.ModeLocal, core.ModeGlobal} {
-		c.K[m] = 4
-		if k, ok := kByMode[m]; ok {
-			if k < 1 {
-				return nil, fmt.Errorf("control: k=%d for mode %v", k, m)
-			}
-			c.K[m] = k
-		}
+	c := &Controller{nw: nw, delay: delay, K: map[core.Mode]int{core.ModeClos: 4, core.ModeLocal: 4, core.ModeGlobal: 4}}
+	var modes []core.Mode
+	for m := range kByMode {
+		modes = append(modes, m)
 	}
-	if err := c.reinstall(); err != nil {
+	slices.Sort(modes)
+	for _, m := range modes {
+		if err := core.CheckMode(m); err != nil {
+			return nil, fmt.Errorf("control: kByMode: %w", err)
+		}
+		if kByMode[m] < 1 {
+			return nil, fmt.Errorf("control: k=%d for mode %v", kByMode[m], m)
+		}
+		c.K[m] = kByMode[m]
+	}
+	if err := c.reinstall(nil); err != nil {
 		return nil, fmt.Errorf("control: %w", err)
 	}
 	return c, nil
@@ -159,11 +168,11 @@ func (c *Controller) kForCurrent() int {
 
 // reinstall realizes the current converter configuration and installs its
 // routing state: the healthy route table, taken from the shared route
-// cache when every pod runs the same mode, with the recorded failures
-// masked on it. It is the controller's only way to change routing state.
-// When the masked links partition the fabric it returns an error and
-// leaves the installed state as it was.
-func (c *Controller) reinstall() error {
+// cache when every pod runs the same mode, with the failure record masked
+// on it in one batch. It runs at start-up and on conversions; link events
+// go through the installed table. When the masked links partition the
+// fabric it returns an error and leaves the installed state as it was.
+func (c *Controller) reinstall(record [][3]int) error {
 	r := c.nw.Realize()
 	start := time.Now()
 	var base *routing.Table
@@ -174,14 +183,23 @@ func (c *Controller) reinstall() error {
 		// quoting many mode vectors would fill it with one table each.
 		base = routing.BuildKShortest(r.Topo, c.kForCurrent())
 	}
-	inc, err := c.maskFailures(r.Topo, base)
-	if err != nil {
-		return err
+	inc := routing.NewIncremental(base, record)
+	if node, cut := inc.CutOff(); cut {
+		return fmt.Errorf("node %d is cut off from node 0", node)
 	}
 	c.lastCompute = time.Since(start).Seconds()
 	telemetry.H("control_route_compute_seconds").Observe(c.lastCompute)
 	c.realization, c.inc = r, inc
+	c.publish()
 	return nil
+}
+
+// publish freezes the installed table for Table. An event replaces a
+// pair's path slice and never edits one in place, so a copy of Paths
+// suffices.
+func (c *Controller) publish() {
+	c.table = c.inc.View()
+	c.table.Paths = slices.Clone(c.table.Paths)
 }
 
 func configsOf(nw *core.Network) []core.Config {
@@ -203,7 +221,7 @@ func (c *Controller) Realization() *core.Realization { return c.realization }
 
 // Table returns the installed route table, recorded failures masked. The
 // returned table does not change when the controller installs new state.
-func (c *Controller) Table() *routing.Table { return c.inc.View() }
+func (c *Controller) Table() *routing.Table { return c.table }
 
 // RulesPerSwitch returns the installed per-switch rule counts.
 func (c *Controller) RulesPerSwitch() map[int]int { return c.inc.RulesPerSwitch() }
@@ -276,11 +294,11 @@ func (c *Controller) convert(modes []core.Mode) (*ConversionReport, routing.Rule
 	if err := c.setModes(modes); err != nil {
 		return nil, routing.RuleDelta{}, err
 	}
-	if err := c.reinstall(); err != nil {
-		if rerr := c.setModes(from); rerr != nil {
-			return nil, routing.RuleDelta{}, fmt.Errorf("control: conversion failed (%v) and rollback failed (%v)", err, rerr)
-		}
-		return nil, routing.RuleDelta{}, fmt.Errorf("control: converting to %s would partition the network: %w", modesLabel(modes), err)
+	if err := c.reinstall(c.inc.Failed()); err != nil {
+		// Restoring the realized from cannot fail; Join handles it anyway.
+		return nil, routing.RuleDelta{}, errors.Join(
+			fmt.Errorf("control: converting to %s would partition the network: %w", modesLabel(modes), err),
+			c.setModes(from))
 	}
 
 	rep := &ConversionReport{From: from, To: append([]core.Mode(nil), modes...)}

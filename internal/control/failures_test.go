@@ -18,7 +18,7 @@ import (
 // pruneFailures is the from-scratch oracle of the controller's failure
 // masking: it rebuilds the topology without the masked links — for each
 // recorded pair, up to its count of that pair's links in link-ID order,
-// the links routing.IncrementalTable.LinkBetween masks — keeping node IDs
+// the links routing.IncrementalTable.Apply masks — keeping node IDs
 // and the relative link order, with servers re-attached last. A recorded
 // failure whose adjacency the topology does not realize is dormant: the
 // broken cable is simply not in use. It errors only when the surviving
@@ -56,6 +56,23 @@ func pruneFailures(t *topo.Topology, failed map[[2]int]int) (*topo.Topology, err
 		return nil, err
 	}
 	return out, nil
+}
+
+// failedMap returns the controller's failure record keyed by endpoint
+// pair.
+func failedMap(c *Controller) map[[2]int]int {
+	out := map[[2]int]int{}
+	for _, f := range c.FailedLinks() {
+		out[[2]int{f[0], f[1]}] = f[2]
+	}
+	return out
+}
+
+func linkKey(a, b int) [2]int {
+	if a > b {
+		a, b = b, a
+	}
+	return [2]int{a, b}
 }
 
 // TestFailRepairErrors pins the exact error of every event the controller
@@ -170,7 +187,7 @@ func runDifferential(t *testing.T, c *Controller, rng *rand.Rand) {
 		t.Helper()
 		before := c.Table()
 		frozen := clonePaths(before.Paths)
-		record, modes := maps.Clone(c.failed), c.Network().PodModes()
+		record, modes := failedMap(c), c.Network().PodModes()
 		var rep *ConversionReport
 		var err error
 		switch {
@@ -185,9 +202,9 @@ func runDifferential(t *testing.T, c *Controller, rng *rand.Rand) {
 			t.Fatalf("%v: a Table taken before the event changed", e)
 		}
 		if err != nil {
-			if !maps.Equal(c.failed, record) || !slices.Equal(c.Network().PodModes(), modes) {
+			if !maps.Equal(failedMap(c), record) || !slices.Equal(c.Network().PodModes(), modes) {
 				t.Fatalf("%v refused (%v) but changed the record %v -> %v or modes %v -> %v",
-					e, err, record, c.failed, modes, c.Network().PodModes())
+					e, err, record, failedMap(c), modes, c.Network().PodModes())
 			}
 			if strings.Contains(err.Error(), "would partition") {
 				requirePartitioned(t, c, e, err)
@@ -279,7 +296,7 @@ func runDifferential(t *testing.T, c *Controller, rng *rand.Rand) {
 func requireOracle(t *testing.T, step string, c *Controller) *routing.Table {
 	t.Helper()
 	healthy := c.Realization().Topo
-	pruned, err := pruneFailures(healthy, c.failed)
+	pruned, err := pruneFailures(healthy, failedMap(c))
 	if err != nil {
 		t.Fatalf("%s: installed state is partitioned under record %v: %v", step, c.FailedLinks(), err)
 	}
@@ -316,7 +333,7 @@ func requireOracle(t *testing.T, step string, c *Controller) *routing.Table {
 // the state the event asked for does not validate once pruned.
 func requirePartitioned(t *testing.T, c *Controller, e event, refusal error) {
 	t.Helper()
-	record, r := maps.Clone(c.failed), c.Realization()
+	record, r := failedMap(c), c.Realization()
 	if e.fail {
 		record[linkKey(e.a, e.b)]++
 	} else {

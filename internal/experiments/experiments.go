@@ -29,7 +29,8 @@ type Config struct {
 	Full bool
 	// Seed drives every stochastic component.
 	Seed int64
-	// Epsilon is the LP approximation accuracy (default 0.1).
+	// Epsilon is the LP approximation accuracy, in (0, 1); zero keeps
+	// mcf's default 0.1.
 	Epsilon float64
 	// FBMixFlows overrides the per-workload flow count of the fbmix_large
 	// streaming study (0 keeps the scale defaults: 5k reduced, 250k full).
@@ -38,10 +39,33 @@ type Config struct {
 }
 
 func (c Config) epsilon() float64 {
-	if c.Epsilon <= 0 {
+	if c.Epsilon == 0 {
 		return 0.1
 	}
 	return c.Epsilon
+}
+
+// CheckFlags is the one check flatsim and benchtables run on their
+// shared flags before any work. It rejects a negative -workers
+// (parallel.CheckWorkers); an -epsilon outside (0, 1), since NaN or 5
+// printed NaN tables and -1 or 0 ran at mcf's default 0.1; and a
+// negative -fbmix-flows or -record-limit, which would silently become
+// their zero defaults. The binaries print the error after their name and
+// exit 2.
+func CheckFlags(workers int, epsilon float64, fbmixFlows, recordLimit int) error {
+	if err := parallel.CheckWorkers(workers); err != nil {
+		return err
+	}
+	if !(epsilon > 0 && epsilon < 1) {
+		return fmt.Errorf("-epsilon %v (want > 0 and < 1)", epsilon)
+	}
+	if fbmixFlows < 0 {
+		return fmt.Errorf("-fbmix-flows %d (want >= 0; 0 = scale default)", fbmixFlows)
+	}
+	if recordLimit < 0 {
+		return fmt.Errorf("-record-limit %d (want >= 0; 0 = recorder default)", recordLimit)
+	}
+	return nil
 }
 
 // MiniTable2 returns proportionally reduced versions of the Table 2

@@ -63,17 +63,25 @@ func (r Result) Min() float64 {
 
 // Options tune the approximation.
 type Options struct {
-	// Epsilon is the FPTAS accuracy parameter; 0 defaults to 0.1.
+	// Epsilon is the FPTAS accuracy parameter, in (0, 1); 0 defaults to
+	// 0.1.
 	Epsilon float64
 	// MaxPhases caps the number of phases as a safety valve; 0 means no
 	// cap beyond the scheme's natural termination.
 	MaxPhases int
 }
 
-func (o *Options) setDefaults() {
-	if o.Epsilon <= 0 {
+// setDefaults rejects an ε outside the scheme's range (0, 1) — NaN,
+// negative, or 1 and above, where a run at 5 printed NaN — and turns zero
+// into 0.1.
+func (o *Options) setDefaults() error {
+	if math.IsNaN(o.Epsilon) || o.Epsilon < 0 || o.Epsilon >= 1 {
+		return fmt.Errorf("mcf: Options.Epsilon %v (want > 0 and < 1; zero uses the default 0.1)", o.Epsilon)
+	}
+	if o.Epsilon == 0 {
 		o.Epsilon = 0.1
 	}
+	return nil
 }
 
 // solver holds the directed-arc expansion and the GK state. Arc 2*l is the
@@ -373,7 +381,9 @@ func (s *solver) traceAll(src int, js []int) [][]int32 {
 // connectivity prepass and per-source path traces) are read-only fan-outs
 // collected by index, so the result is bit-identical for any pool size.
 func MaxConcurrent(g *graph.Graph, comms []Commodity, opt Options) (Result, error) {
-	opt.setDefaults()
+	if err := opt.setDefaults(); err != nil {
+		return Result{}, err
+	}
 	if err := checkCommodities(g, comms); err != nil {
 		return Result{}, err
 	}
@@ -457,7 +467,9 @@ func recordSolve(objective string, phases int, dijkstras int64, wall time.Durati
 // may receive zero while others saturate — exactly the behaviour the paper
 // notes for LP average in Figure 7.
 func MaxTotal(g *graph.Graph, comms []Commodity, opt Options) (Result, error) {
-	opt.setDefaults()
+	if err := opt.setDefaults(); err != nil {
+		return Result{}, err
+	}
 	if err := checkCommodities(g, comms); err != nil {
 		return Result{}, err
 	}

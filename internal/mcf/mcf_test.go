@@ -1,6 +1,7 @@
 package mcf
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -191,6 +192,34 @@ func TestCommodityValidation(t *testing.T) {
 		if _, err := MaxTotal(g, comms, Options{}); err == nil {
 			t.Errorf("commodities %v accepted by MaxTotal", comms)
 		}
+	}
+}
+
+// TestEpsilonRejected pins the exact error for an ε the scheme cannot
+// run at: NaN, negative, and 1 or above used to print NaN or run at the
+// default 0.1. Zero keeps the default.
+func TestEpsilonRejected(t *testing.T) {
+	g := line(2, 10)
+	comms := []Commodity{{Src: 0, Dst: 1, Demand: 1}}
+	for _, eps := range []float64{math.NaN(), -1, -0.1, 1, 5, math.Inf(1)} {
+		want := fmt.Sprintf("mcf: Options.Epsilon %v (want > 0 and < 1; zero uses the default 0.1)", eps)
+		if _, err := MaxConcurrent(g, comms, Options{Epsilon: eps}); err == nil || err.Error() != want {
+			t.Errorf("MaxConcurrent(ε=%v) error = %v, want %q", eps, err, want)
+		}
+		if _, err := MaxTotal(g, comms, Options{Epsilon: eps}); err == nil || err.Error() != want {
+			t.Errorf("MaxTotal(ε=%v) error = %v, want %q", eps, err, want)
+		}
+	}
+	zero, err := MaxConcurrent(g, comms, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	def, err := MaxConcurrent(g, comms, Options{Epsilon: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if zero.Lambda != def.Lambda {
+		t.Fatalf("ε=0 gave λ %v, ε=0.1 gave %v; want the default", zero.Lambda, def.Lambda)
 	}
 }
 

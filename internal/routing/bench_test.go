@@ -48,13 +48,13 @@ func BenchmarkRepairIncremental(b *testing.B) {
 	tp := mini1Topo(b, core.ModeClos)
 	base := BuildKShortest(tp, 8)
 	links := switchLinks(tp)
-	it := NewIncremental(base)
+	it := NewIncremental(base, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		l := links[i%len(links)]
-		it.Fail(l)
-		it.Repair(l)
+		it.fail(l)
+		it.repair(l)
 	}
 }
 
@@ -68,15 +68,15 @@ func BenchmarkRepairOverlapping(b *testing.B) {
 	const window = 3
 	tp := mini1Topo(b, core.ModeGlobal)
 	links := switchLinks(tp)
-	it := NewIncremental(BuildKShortest(tp, 8))
+	it := NewIncremental(BuildKShortest(tp, 8), nil)
 	for i := 0; i < window; i++ {
-		it.Fail(links[i])
+		it.fail(links[i])
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		it.Fail(links[(i+window)%len(links)])
-		it.Repair(links[i%len(links)])
+		it.fail(links[(i+window)%len(links)])
+		it.repair(links[i%len(links)])
 	}
 }
 

@@ -125,13 +125,17 @@ func maxValue(m map[int]int) int {
 }
 
 // IncrementalTable maintains the installed route table across link
-// failures and repairs without whole-table rebuilds. It is built from a
-// healthy baseline Table (which it never mutates — cached tables are
-// safe to wrap) and mutated by Fail/Repair, each returning the exact
-// per-switch rule delta of the event. Not safe for concurrent mutation;
-// the churn engine drives it event by event.
+// failures and repairs without whole-table rebuilds, and owns the link
+// state: the failure record and the links it masks. It wraps a healthy
+// baseline Table (never mutated — cached tables are safe to wrap) and is
+// mutated by Apply, which returns each event's exact per-switch rule
+// delta. Not safe for concurrent mutation: each caller drives its own.
 type IncrementalTable struct {
 	base *Table
+	// failed is the failure record, a count per normalized (low, high)
+	// switch pair. An adjacency masks the first min(count, links) of its
+	// ascending link IDs; the rest of a count is dormant (NewIncremental).
+	failed map[[2]int]int
 	// banned is the set of currently masked link IDs on the original
 	// graph.
 	banned map[int]bool
@@ -198,12 +202,18 @@ func bundleTable(g *graph.Graph) ([]int, int) {
 	return bundle, len(index)
 }
 
-// NewIncremental wraps a healthy baseline table for incremental repair.
-func NewIncremental(base *Table) *IncrementalTable {
+// NewIncremental wraps a healthy baseline table for incremental repair
+// and masks a failure record on it, (a, b, count) entries as Failed lists
+// them. An entry masks up to count links of the (a, b) switch adjacency;
+// the rest of the count, all of it when the topology lacks the cable,
+// stays recorded and dormant. The masked links' pairs are recomputed in
+// one batch, so the record costs one repair, not one per entry.
+func NewIncremental(base *Table, record [][3]int) *IncrementalTable {
 	g := base.topo.G
 	bundle, nBundles := bundleTable(g)
 	it := &IncrementalTable{
 		base:    base,
+		failed:  map[[2]int]int{},
 		banned:  map[int]bool{},
 		paths:   slices.Clone(base.Paths),
 		bundle:  bundle,
@@ -229,22 +239,36 @@ func NewIncremental(base *Table) *IncrementalTable {
 		}
 		it.baseUse[b] = appendUsers(make([]int32, 0, n), row)
 	}
+	for _, f := range record {
+		if f[2] > 0 {
+			it.failed[[2]int{min(f[0], f[1]), max(f[0], f[1])}] += f[2]
+		}
+	}
+	var links []int
+	for _, f := range it.Failed() {
+		if ids, err := it.bundleBetween(f[0], f[1]); err == nil {
+			links = append(links, ids[:min(f[2], len(ids))]...)
+		}
+	}
+	if len(links) > 0 {
+		it.fail(links...)
+	}
 	return it
 }
 
-// SetRecorder attaches a flight-recorder track; each Fail/Repair then
-// emits its per-switch rule delta as sim-time events (see SetSimTime).
-// A nil track disables emission.
+// SetRecorder attaches a flight-recorder track; each Apply then emits
+// its link event and per-switch rule delta as sim-time events (see
+// SetSimTime). A nil track disables emission.
 func (it *IncrementalTable) SetRecorder(tr *recorder.Track) { it.rec = tr }
 
-// SetSimTime positions the event clock used to stamp the next
-// Fail/Repair's recorder events. The table is driven by callers that
-// own the simulated clock (the churn engine), so the time arrives from
-// outside rather than from any wall clock.
+// SetSimTime positions the event clock used to stamp the next Apply's
+// recorder events. The table is driven by callers that own the simulated
+// clock (the churn engine), so the time arrives from outside rather than
+// from any wall clock.
 func (it *IncrementalTable) SetSimTime(t float64) { it.simTime = t }
 
 // View returns the installed table as a *Table sharing the incremental
-// state: it reflects every Fail/Repair applied so far and remains live
+// state: it reflects every event applied so far and remains live
 // through future events. Callers needing a frozen table must copy it; a
 // copy of Paths suffices, as an event replaces a pair's path slice and
 // never edits one in place.
@@ -272,60 +296,103 @@ func (it *IncrementalTable) DegradedPairs() int { return it.degraded }
 // Banned reports whether the link is currently masked.
 func (it *IncrementalTable) Banned(link int) bool { return it.banned[link] }
 
-// Fail masks a link and repairs exactly the pairs whose installed paths
-// traverse its bundle, returning the per-switch rule delta. Masking a
-// link whose bundle no installed path uses returns an empty delta: the
-// controller has nothing to touch. Panics if the link is already masked.
-func (it *IncrementalTable) Fail(link int) RuleDelta {
-	if it.banned[link] {
-		panic(fmt.Sprintf("routing: Fail(%d): link already masked", link))
+// Failed returns the failure record as (a, b, count) triples with a < b,
+// sorted by (a, b). Dormant counts are included.
+func (it *IncrementalTable) Failed() [][3]int {
+	var out [][3]int
+	for ab, n := range it.failed {
+		out = append(out, [3]int{ab[0], ab[1], n})
 	}
-	start := time.Now()
-	it.banned[link] = true
-	b := it.bundle[link]
-	for _, pi := range it.baseUse[b] {
-		if it.broken[pi] == 0 {
-			it.degraded++
+	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] || out[i][0] == out[j][0] && out[i][1] < out[j][1] })
+	return out
+}
+
+// Masked returns the IDs of the masked links, ascending.
+func (it *IncrementalTable) Masked() []int {
+	out := make([]int, 0, len(it.banned))
+	for id := range it.banned {
+		out = append(out, id)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// CutOff returns the lowest node the masked links leave unreachable from
+// node 0; cut is false when every node is reachable.
+func (it *IncrementalTable) CutOff() (node int, cut bool) {
+	for n, d := range it.base.topo.G.BFSDistancesBanned(0, it.banned) {
+		if d < 0 {
+			return n, true
 		}
-		it.broken[pi]++
 	}
-	// Snapshot the bundle's users: installing new paths edits the row.
-	dirty := appendUsers(it.work[:0], it.curUse[b])
+	return 0, false
+}
+
+// Apply records a failure (or repair) of the (a, b) switch adjacency, in
+// either endpoint order, and masks its lowest-ID surviving link (restores
+// its highest-ID masked one), so churn, flatd and the controller mask the
+// same link for the same events. It returns the link and the per-switch
+// rule delta, emitting a link_fail or link_repair recorder event ahead of
+// the delta's; a dormant failure's repair returns link -1 and an empty
+// delta. It validates its input, as flatd feeds it operator requests: a
+// failure needs switches joined by a surviving link, a repair a record.
+func (it *IncrementalTable) Apply(a, b int, repair bool) (link int, delta RuleDelta, err error) {
+	key := [2]int{min(a, b), max(a, b)}
+	n := it.failed[key]
+	ids, err := it.bundleBetween(a, b)
+	if !repair {
+		if err != nil {
+			return -1, RuleDelta{}, err
+		}
+		if n >= len(ids) {
+			return -1, RuleDelta{}, fmt.Errorf("routing: no surviving link between %d and %d", a, b)
+		}
+		it.failed[key] = n + 1
+		it.rec.Emit(recorder.Event{T: it.simTime, Kind: recorder.LinkFail, ID: ids[n], A: int64(a), B: int64(b)})
+		return ids[n], it.fail(ids[n]), nil
+	}
+	if n == 0 {
+		if err == nil {
+			err = fmt.Errorf("routing: no masked link between %d and %d", a, b)
+		}
+		return -1, RuleDelta{}, err
+	}
+	if it.failed[key] = n - 1; n == 1 {
+		delete(it.failed, key)
+	}
+	if n > len(ids) {
+		return -1, RuleDelta{}, nil // dormant
+	}
+	it.rec.Emit(recorder.Event{T: it.simTime, Kind: recorder.LinkRepair, ID: ids[n-1], A: int64(a), B: int64(b)})
+	return ids[n-1], it.repair(ids[n-1]), nil
+}
+
+// fail masks unmasked links and repairs, in one batch, exactly the pairs
+// whose installed paths traverse one of their bundles, returning the
+// per-switch rule delta. Masking links whose bundles no installed path
+// uses returns an empty delta: the controller has nothing to touch.
+func (it *IncrementalTable) fail(links ...int) RuleDelta {
+	start := time.Now()
+	dirty := it.work[:0]
+	for _, link := range links {
+		it.banned[link] = true
+		b := it.bundle[link]
+		for _, pi := range it.baseUse[b] {
+			if it.broken[pi] == 0 {
+				it.degraded++
+			}
+			it.broken[pi]++
+		}
+		// Snapshot the bundle's users: installing new paths edits the row.
+		dirty = appendUsers(dirty, it.curUse[b])
+	}
+	slices.Sort(dirty)
+	dirty = slices.Compact(dirty)
 	it.work = dirty
 	it.recompute(dirty)
 	delta := it.takeDelta()
 	it.finishEvent(len(dirty), start)
 	return delta
-}
-
-// LinkBetween returns the link of the (a, b) adjacency that the masking
-// rule picks: to fail, the lowest-ID surviving link of the bundle; to
-// repair, the highest-ID masked one. The caller then masks it with Fail or
-// restores it with Repair. While every event on an adjacency goes through
-// LinkBetween, its masked links are a prefix of the bundle's ascending
-// IDs, so the churn engine and flatd mask the same link for the same
-// event sequence. Unlike Fail and Repair it validates its input (flatd's
-// /events/link feeds it operator requests): the endpoints must be
-// switches joined by a link that can take the event.
-func (it *IncrementalTable) LinkBetween(a, b int, repair bool) (int, error) {
-	ids, err := it.bundleBetween(a, b)
-	if err != nil {
-		return 0, err
-	}
-	if repair {
-		for i := len(ids) - 1; i >= 0; i-- {
-			if it.banned[ids[i]] {
-				return ids[i], nil
-			}
-		}
-		return 0, fmt.Errorf("routing: no masked link between %d and %d", a, b)
-	}
-	for _, id := range ids {
-		if !it.banned[id] {
-			return id, nil
-		}
-	}
-	return 0, fmt.Errorf("routing: no surviving link between %d and %d", a, b)
 }
 
 // bundleBetween validates an adjacency request and returns its link IDs
@@ -354,17 +421,14 @@ func (it *IncrementalTable) bundleBetween(a, b int) ([]int, error) {
 	return ids, nil
 }
 
-// Repair unmasks a link: pairs whose baseline paths avoid every still-
-// masked bundle get the baseline restored outright (banning bundles a
-// Yen result never traverses cannot change it, so no recomputation is
+// repair unmasks a masked link: pairs whose baseline paths avoid every
+// still-masked bundle get the baseline restored outright (banning bundles
+// a Yen result never traverses cannot change it, so no recomputation is
 // needed), while pairs still missing baseline bundles are re-Yen'd — the
 // restored link can offer them a better detour — except those the
 // distance bound proves it cannot (see the package notes above). Returns
-// the per-switch rule delta. Panics if the link is not masked.
-func (it *IncrementalTable) Repair(link int) RuleDelta {
-	if !it.banned[link] {
-		panic(fmt.Sprintf("routing: Repair(%d): link not masked", link))
-	}
+// the per-switch rule delta.
+func (it *IncrementalTable) repair(link int) RuleDelta {
 	start := time.Now()
 	delete(it.banned, link)
 	restored := 0

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -111,7 +112,7 @@ func switchLinks(tp *topo.Topology) []int {
 func driveTrace(t *testing.T, tp *topo.Topology, k, n int, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	it := NewIncremental(BuildKShortest(tp, k))
+	it := NewIncremental(BuildKShortest(tp, k), nil)
 	links := switchLinks(tp)
 	banned := map[int]bool{}
 	var failed []int
@@ -124,7 +125,7 @@ func driveTrace(t *testing.T, tp *topo.Topology, k, n int, seed int64) {
 			l := failed[i]
 			failed = append(failed[:i], failed[i+1:]...)
 			delete(banned, l)
-			delta = it.Repair(l)
+			delta = it.repair(l)
 		} else {
 			var alive []int
 			for _, l := range links {
@@ -135,7 +136,7 @@ func driveTrace(t *testing.T, tp *topo.Topology, k, n int, seed int64) {
 			l := alive[rng.Intn(len(alive))]
 			banned[l] = true
 			failed = append(failed, l)
-			delta = it.Fail(l)
+			delta = it.fail(l)
 		}
 		requireDeltaReconciles(t, step, it, prevRules, delta)
 		requireTableEqualsRebuild(t, step, it, tp, banned)
@@ -184,14 +185,13 @@ func TestIncrementalDifferentialParallelLinks(t *testing.T) {
 	driveTrace(t, tp, 3, 250, 5)
 }
 
-// TestLinkBetweenMaskingRule pins the masking rule the churn engine and
-// flatd share: a fail takes the bundle's lowest-ID surviving link, a
+// TestApplyMaskingRule pins the masking rule churn, flatd and the
+// controller share: a fail takes the bundle's lowest-ID surviving link, a
 // repair its highest-ID masked one, in either endpoint order, and a
-// direction with no link left is an error. A link masked out of that
-// order by a direct Fail leaves the rule as it is.
-func TestLinkBetweenMaskingRule(t *testing.T) {
+// direction with no link left is an error.
+func TestApplyMaskingRule(t *testing.T) {
 	tp := parallelLinkTopo()
-	it := NewIncremental(BuildKShortest(tp, 3))
+	it := NewIncremental(BuildKShortest(tp, 3), nil)
 	const e0, a0 = 0, 3 // joined by links 0 and 1
 	steps := []struct {
 		a, b           int
@@ -207,7 +207,7 @@ func TestLinkBetweenMaskingRule(t *testing.T) {
 		{a: a0, b: e0, repair: true, expectExactErr: "routing: no masked link between 3 and 0"},
 	}
 	for i, st := range steps {
-		link, err := it.LinkBetween(st.a, st.b, st.repair)
+		link, _, err := it.Apply(st.a, st.b, st.repair)
 		if st.expectExactErr != "" {
 			if err == nil || err.Error() != st.expectExactErr {
 				t.Fatalf("step %d: error = %v, want %q", i, err, st.expectExactErr)
@@ -215,21 +215,131 @@ func TestLinkBetweenMaskingRule(t *testing.T) {
 			continue
 		}
 		if err != nil || link != st.want {
-			t.Fatalf("step %d: LinkBetween = %d, %v; want link %d", i, link, err, st.want)
-		}
-		if st.repair {
-			it.Repair(link)
-		} else {
-			it.Fail(link)
+			t.Fatalf("step %d: Apply = %d, %v; want link %d", i, link, err, st.want)
 		}
 	}
-	it.Fail(1)
-	if link, err := it.LinkBetween(e0, a0, false); err != nil || link != 0 {
-		t.Fatalf("fail with link 1 masked directly = %d, %v; want link 0", link, err)
+}
+
+// randomRecord draws a failure record over tp's switch adjacencies plus
+// pairs of switches with no adjacency, with counts from 1 to 3 — above
+// the size of most bundles — in shuffled order and either endpoint
+// order.
+func randomRecord(tp *topo.Topology, rng *rand.Rand, n int) [][3]int {
+	sw := tp.Switches()
+	var record [][3]int
+	for len(record) < n {
+		a, b := sw[rng.Intn(len(sw))], sw[rng.Intn(len(sw))]
+		if a != b {
+			record = append(record, [3]int{a, b, 1 + rng.Intn(3)})
+		}
 	}
-	if link, err := it.LinkBetween(e0, a0, true); err != nil || link != 1 {
-		t.Fatalf("repair with link 1 masked directly = %d, %v; want link 1", link, err)
+	for _, id := range switchLinks(tp) {
+		if rng.Intn(8) == 0 {
+			l := tp.G.Link(id)
+			record = append(record, [3]int{l.B, l.A, 1 + rng.Intn(3)})
+		}
 	}
+	rng.Shuffle(len(record), func(i, j int) { record[i], record[j] = record[j], record[i] })
+	return record
+}
+
+// TestNewIncrementalRecordEqualsApply checks the batch constructor on
+// seeded records, over-counted bundles and absent adjacencies included:
+// NewIncremental(base, record) must equal a healthy table driven by one
+// Apply per recorded failure — paths, rule counts, degraded pairs, the
+// masked links and the record itself — and a rebuild on the topology
+// pruned of the masked links.
+func TestNewIncrementalRecordEqualsApply(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		tp   *topo.Topology
+		k    int
+	}{
+		{"mini-1-global", mini1Topo(t, core.ModeGlobal), 8},
+		{"parallel-links", parallelLinkTopo(), 3},
+	} {
+		base := BuildKShortest(tc.tp, tc.k)
+		for seed := int64(1); seed <= 3; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			record := randomRecord(tc.tp, rng, 3)
+			batch := NewIncremental(base, record)
+			seq := NewIncremental(base, nil)
+			want := map[[2]int]int{}
+			for _, f := range record {
+				want[[2]int{min(f[0], f[1]), max(f[0], f[1])}] += f[2]
+				for n := 0; n < f[2]; n++ {
+					if _, _, err := seq.Apply(f[0], f[1], false); err != nil {
+						seq.failed[[2]int{min(f[0], f[1]), max(f[0], f[1])}]++ // dormant
+					}
+				}
+			}
+			step := fmt.Sprintf("%s seed %d", tc.name, seed)
+			if !reflect.DeepEqual(batch.paths, seq.paths) {
+				t.Fatalf("%s: batch paths differ from one Apply per failure", step)
+			}
+			if !reflect.DeepEqual(batch.RulesPerSwitch(), seq.RulesPerSwitch()) || batch.DegradedPairs() != seq.DegradedPairs() {
+				t.Fatalf("%s: batch rules %v / %d degraded, sequential %v / %d", step,
+					batch.RulesPerSwitch(), batch.DegradedPairs(), seq.RulesPerSwitch(), seq.DegradedPairs())
+			}
+			if !reflect.DeepEqual(batch.Masked(), seq.Masked()) || !reflect.DeepEqual(batch.Failed(), seq.Failed()) {
+				t.Fatalf("%s: batch masks %v under %v, sequential %v under %v", step,
+					batch.Masked(), batch.Failed(), seq.Masked(), seq.Failed())
+			}
+			got := map[[2]int]int{}
+			for _, f := range batch.Failed() {
+				if f[0] >= f[1] {
+					t.Fatalf("%s: Failed lists %v high-first", step, f)
+				}
+				got[[2]int{f[0], f[1]}] = f[2]
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: record %v, want %v", step, got, want)
+			}
+			banned := map[int]bool{}
+			for _, id := range batch.Masked() {
+				banned[id] = true
+			}
+			if len(banned) == 0 {
+				t.Fatalf("%s: record %v masks nothing", step, record)
+			}
+			requireTableEqualsRebuild(t, int(seed), batch, tc.tp, banned)
+		}
+	}
+}
+
+// TestApplyDormantRepair pins the repair of a dormant failure: a record
+// counting more failures than its bundle has links masks the whole
+// bundle, and repairing the surplus restores nothing — link -1, an empty
+// delta — while the count drops. The next repair restores the highest
+// masked link.
+func TestApplyDormantRepair(t *testing.T) {
+	tp := parallelLinkTopo()
+	const e0, a0 = 0, 3 // joined by links 0 and 1
+	it := NewIncremental(BuildKShortest(tp, 3), [][3]int{{a0, e0, 3}, {1, 2, 2}})
+	if got := it.Masked(); !reflect.DeepEqual(got, []int{0, 1}) {
+		t.Fatalf("masked %v, want [0 1]", got)
+	}
+	for _, st := range []struct {
+		a, b   int
+		link   int
+		failed [][3]int
+	}{
+		{e0, a0, -1, [][3]int{{0, 3, 2}, {1, 2, 2}}},
+		{1, 2, -1, [][3]int{{0, 3, 2}, {1, 2, 1}}},
+		{a0, e0, 1, [][3]int{{0, 3, 1}, {1, 2, 1}}},
+	} {
+		link, delta, err := it.Apply(st.a, st.b, true)
+		if err != nil || link != st.link {
+			t.Fatalf("repair %d-%d = link %d, %v; want link %d", st.a, st.b, link, err, st.link)
+		}
+		if link < 0 && !delta.Empty() {
+			t.Fatalf("dormant repair %d-%d returned delta %+v", st.a, st.b, delta)
+		}
+		if got := it.Failed(); !reflect.DeepEqual(got, st.failed) {
+			t.Fatalf("after repair %d-%d record %v, want %v", st.a, st.b, got, st.failed)
+		}
+	}
+	requireTableEqualsRebuild(t, 0, it, tp, map[int]bool{0: true})
 }
 
 // TestIncrementalZeroAffectedFailure pins the §4.3 no-op case: masking a
@@ -237,7 +347,7 @@ func TestLinkBetweenMaskingRule(t *testing.T) {
 // delta and leaves the table untouched.
 func TestIncrementalZeroAffectedFailure(t *testing.T) {
 	tp := parallelLinkTopo()
-	it := NewIncremental(BuildKShortest(tp, 1))
+	it := NewIncremental(BuildKShortest(tp, 1), nil)
 	// With k=1 each pair installs one shortest path; detour-only bundles
 	// like a0-a1 carry no installed path.
 	var unused int = -1
@@ -250,7 +360,7 @@ func TestIncrementalZeroAffectedFailure(t *testing.T) {
 	if unused < 0 {
 		t.Fatal("no bundle-unused link at k=1")
 	}
-	delta := it.Fail(unused)
+	delta := it.fail(unused)
 	if !delta.Empty() {
 		t.Fatalf("masking unused link %d produced delta %+v", unused, delta)
 	}
@@ -258,7 +368,7 @@ func TestIncrementalZeroAffectedFailure(t *testing.T) {
 		t.Fatalf("masking unused link degraded %d pairs", it.DegradedPairs())
 	}
 	requireTableEqualsRebuild(t, 0, it, tp, map[int]bool{unused: true})
-	if d := it.Repair(unused); !d.Empty() {
+	if d := it.repair(unused); !d.Empty() {
 		t.Fatalf("repairing unused link produced delta %+v", d)
 	}
 }
@@ -271,7 +381,7 @@ func TestIncrementalWorkerInvariance(t *testing.T) {
 		parallel.SetDefaultWorkers(workers)
 		defer parallel.SetDefaultWorkers(0)
 		rng := rand.New(rand.NewSource(23))
-		it := NewIncremental(BuildKShortest(tp, 4))
+		it := NewIncremental(BuildKShortest(tp, 4), nil)
 		links := switchLinks(tp)
 		banned := map[int]bool{}
 		var failed, deltas = []int{}, []RuleDelta{}
@@ -281,7 +391,7 @@ func TestIncrementalWorkerInvariance(t *testing.T) {
 				l := failed[i]
 				failed = append(failed[:i], failed[i+1:]...)
 				delete(banned, l)
-				deltas = append(deltas, it.Repair(l))
+				deltas = append(deltas, it.repair(l))
 				continue
 			}
 			var alive []int
@@ -293,7 +403,7 @@ func TestIncrementalWorkerInvariance(t *testing.T) {
 			l := alive[rng.Intn(len(alive))]
 			banned[l] = true
 			failed = append(failed, l)
-			deltas = append(deltas, it.Fail(l))
+			deltas = append(deltas, it.fail(l))
 		}
 		return deltas, it.RulesPerSwitch()
 	}
@@ -313,11 +423,11 @@ func TestIncrementalWorkerInvariance(t *testing.T) {
 func TestIncrementalDoesNotMutateBaseline(t *testing.T) {
 	tp := cacheTestTopo(t)
 	base := BuildKShortest(tp, 4)
-	it := NewIncremental(base)
+	it := NewIncremental(base, nil)
 	links := switchLinks(tp)
-	it.Fail(links[0])
-	it.Fail(links[3])
-	it.Repair(links[0])
+	it.fail(links[0])
+	it.fail(links[3])
+	it.repair(links[0])
 	fresh := BuildKShortest(tp, 4)
 	if len(base.Paths) != len(fresh.Paths) {
 		t.Fatalf("baseline pair count changed: %d vs %d", len(base.Paths), len(fresh.Paths))
@@ -348,7 +458,7 @@ func TestIncrementalRepairBoundGlobal(t *testing.T) {
 	links := switchLinks(tp)
 	twin := tp.AddLink(tp.G.Link(links[0]).A, tp.G.Link(links[0]).B)
 	links = append(links, twin)
-	it := NewIncremental(BuildKShortest(tp, k))
+	it := NewIncremental(BuildKShortest(tp, k), nil)
 	if len(it.base.Ingress) != 48 || len(it.paths) != 2256 {
 		t.Fatalf("%d ingress switches, %d pairs; want 48 and 2256", len(it.base.Ingress), len(it.paths))
 	}
@@ -385,7 +495,7 @@ func TestIncrementalRepairBoundGlobal(t *testing.T) {
 			}
 			old := slices.Clone(it.paths)
 			delete(banned, l)
-			delta = it.Repair(l)
+			delta = it.repair(l)
 			for _, pi := range few {
 				if it.broken[pi] > 0 && !pathSetsEqual(old[pi], it.paths[pi]) {
 					fewRecomputed++
@@ -393,7 +503,7 @@ func TestIncrementalRepairBoundGlobal(t *testing.T) {
 			}
 		} else {
 			banned[l] = true
-			delta = it.Fail(l)
+			delta = it.fail(l)
 		}
 		requireDeltaReconciles(t, step, it, prevRules, delta)
 		requireTableEqualsRebuild(t, step, it, tp, banned)

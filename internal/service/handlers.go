@@ -51,14 +51,15 @@ type failedLink struct {
 	B    int `json:"b"`
 }
 
-// failedLinksLocked renders the masked set sorted by link ID; callers
-// hold at least a read lock.
+// failedLinksLocked renders the masked links sorted by ID, each link's
+// endpoints low-first; callers hold at least a read lock.
 func (s *Server) failedLinksLocked() []failedLink {
-	out := make([]failedLink, 0, len(s.failed))
-	for id, ab := range s.failed {
-		out = append(out, failedLink{Link: id, A: ab[0], B: ab[1]})
+	masked := s.inc.Masked()
+	out := make([]failedLink, len(masked))
+	for i, id := range masked {
+		l := s.topo.G.Link(id)
+		out[i] = failedLink{Link: id, A: min(l.A, l.B), B: max(l.A, l.B)}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Link < out[j].Link })
 	return out
 }
 
@@ -326,7 +327,7 @@ type linkEventRequest struct {
 	Action string `json:"action"`
 	// A and B are the switch endpoints of the affected adjacency; the
 	// route table's masking rule, which the churn engine shares, picks
-	// the parallel link (routing.IncrementalTable.LinkBetween).
+	// the parallel link (routing.IncrementalTable.Apply).
 	A int `json:"a"`
 	B int `json:"b"`
 }
@@ -370,25 +371,17 @@ func (s *Server) handleLinkEvent(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// applyLinkEvent mutates the incremental table and bookkeeping under
-// the write lock and returns a fully copied response, so the handler
-// writes to the client with the lock already released: a stalled
-// client connection must not serialize every other request behind the
-// daemon's one write lock (lockcheck).
+// applyLinkEvent applies the event to the incremental table under the
+// write lock and returns a fully copied response, so the handler writes
+// to the client with the lock already released: a stalled client
+// connection must not serialize every other request behind the daemon's
+// one write lock (lockcheck).
 func (s *Server) applyLinkEvent(req linkEventRequest) (linkEventResponse, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	link, err := s.inc.LinkBetween(req.A, req.B, req.Action == "repair")
+	link, delta, err := s.inc.Apply(req.A, req.B, req.Action == "repair")
 	if err != nil {
 		return linkEventResponse{}, err
-	}
-	var delta routing.RuleDelta
-	if req.Action == "fail" {
-		delta = s.inc.Fail(link)
-		s.failed[link] = [2]int{req.A, req.B}
-	} else {
-		delta = s.inc.Repair(link)
-		delete(s.failed, link)
 	}
 	s.events++
 	reaction := churn.ReactionTime(s.cfg.Detection, delta, s.cfg.Delay)

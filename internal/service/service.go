@@ -79,11 +79,9 @@ type Server struct {
 	topo *topo.Topology
 	// fp is the healthy realization's content fingerprint, fixed at New.
 	fp string
-	// inc is the live route table; link events mutate it in place.
+	// inc is the live route table and its failure record; link events
+	// mutate it in place.
 	inc *routing.IncrementalTable
-	// failed maps each masked link ID to its endpoints, mirroring the
-	// incremental table's banned set for /topology reporting.
-	failed map[int][2]int
 	// events counts applied link events (the state's mutation epoch).
 	events int64
 
@@ -139,14 +137,13 @@ func New(cfg Config) (*Server, error) {
 	}
 	table := routing.BuildKShortestCached(t, cfg.K)
 	return &Server{
-		cfg:    cfg,
-		reg:    cfg.Registry,
-		start:  time.Now(),
-		nw:     cfg.Network,
-		topo:   t,
-		fp:     t.Fingerprint(),
-		inc:    routing.NewIncremental(table),
-		failed: map[int][2]int{},
+		cfg:   cfg,
+		reg:   cfg.Registry,
+		start: time.Now(),
+		nw:    cfg.Network,
+		topo:  t,
+		fp:    t.Fingerprint(),
+		inc:   routing.NewIncremental(table, nil),
 	}, nil
 }
 
