@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -34,12 +35,25 @@ func TestViolationsGolden(t *testing.T) {
 	// checks; guard against the testdata rotting into partial coverage.
 	for _, analyzer := range []string{
 		"maporder", "floatsum", "seededrand", "simclock", "spanend",
-		"lockcheck", "ctxflow", "errdrop", "hotalloc", "flatvet",
+		"lockcheck", "ctxflow", "errdrop", "hotalloc", "testonly", "flatvet",
 	} {
 		if !strings.Contains(string(golden), ": "+analyzer+": ") {
 			t.Errorf("golden file has no %s diagnostic", analyzer)
 		}
 	}
+}
+
+// decodeSARIF parses a -sarif file as one SARIF 2.1.0 log.
+func decodeSARIF(t *testing.T, data []byte) sarif.Log {
+	t.Helper()
+	var log sarif.Log
+	if err := json.Unmarshal(data, &log); err != nil {
+		t.Fatalf("decoding -sarif output: %v", err)
+	}
+	if log.Version != sarif.Version || len(log.Runs) != 1 {
+		t.Fatalf("-sarif output has version %q and %d runs, want %q and 1", log.Version, len(log.Runs), sarif.Version)
+	}
+	return log
 }
 
 // TestSARIFRoundTrip runs the violations module with -sarif and pins
@@ -56,10 +70,7 @@ func TestSARIFRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	log, err := sarif.Decode(data)
-	if err != nil {
-		t.Fatalf("decoding -sarif output: %v", err)
-	}
+	log := decodeSARIF(t, data)
 	enc, err := sarif.Encode(log)
 	if err != nil {
 		t.Fatal(err)
@@ -71,8 +82,8 @@ func TestSARIFRoundTrip(t *testing.T) {
 	if got := len(log.Runs[0].Results); got != textLines {
 		t.Errorf("SARIF has %d results, text output has %d diagnostics", got, textLines)
 	}
-	if got, want := len(log.Runs[0].Tool.Driver.Rules), len(suite.Analyzers())+1; got != want {
-		t.Errorf("SARIF driver declares %d rules, want %d (analyzers + directive syntax)", got, want)
+	if got, want := len(log.Runs[0].Tool.Driver.Rules), len(suite.Analyzers())+2; got != want {
+		t.Errorf("SARIF driver declares %d rules, want %d (analyzers + testonly + directive syntax)", got, want)
 	}
 }
 
@@ -89,10 +100,7 @@ func TestSARIFCleanRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	log, err := sarif.Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
+	log := decodeSARIF(t, data)
 	if len(log.Runs[0].Results) != 0 {
 		t.Errorf("clean run produced SARIF results: %+v", log.Runs[0].Results)
 	}
@@ -176,5 +184,30 @@ func TestWholeTreeClean(t *testing.T) {
 	code := run([]string{"-C", root, "./..."}, &stdout, &stderr)
 	if code != 0 {
 		t.Fatalf("flatvet ./... = exit %d, want 0\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
+	}
+}
+
+// TestTestonlyNarrowPattern asserts that testonly counts references from
+// the whole module, and from nested modules that replace it, even when
+// the patterns load one package: graph.Used and graph.BenchOnly have
+// callers only outside ./internal/graph and stay unreported.
+func TestTestonlyNarrowPattern(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-C", filepath.Join("testdata", "violations"), "./internal/graph"}, &stdout, &stderr)
+	if code != 1 {
+		t.Fatalf("exit code = %d, want 1 (stderr: %s)", code, stderr.String())
+	}
+	golden, err := os.ReadFile(filepath.Join("testdata", "violations.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want strings.Builder
+	for _, line := range strings.SplitAfter(string(golden), "\n") {
+		if strings.HasPrefix(line, "internal/graph/") {
+			want.WriteString(line)
+		}
+	}
+	if got := stdout.String(); got != want.String() {
+		t.Errorf("diagnostics for ./internal/graph differ from the golden's lines\n--- got ---\n%s--- want ---\n%s", got, want.String())
 	}
 }

@@ -1,5 +1,6 @@
 // Command flatvet runs the repo's determinism, seeding, telemetry,
-// concurrency, and hot-path analyzers over a package tree.
+// concurrency, and hot-path analyzers, and the whole-tree testonly
+// check, over a package tree.
 //
 // Usage:
 //
@@ -18,8 +19,12 @@
 //	ctxflow     context threading on daemon request paths
 //	errdrop     discarded error returns in simulation/control packages
 //	hotalloc    allocation in //flatvet:hotpath-marked functions
+//	testonly    exported internal/ functions and methods only tests reference
 //
 // plus the //flatvet:<rule> <reason> waiver-directive syntax itself.
+// testonly counts references from the whole module at -C, and from any
+// nested module that replaces it with a local path, whatever packages
+// are named.
 // -pkgs restricts reporting to the named final import-path segments;
 // -sarif additionally writes the findings (even when there are none)
 // as a SARIF 2.1.0 log for CI code-scanning upload; -workers bounds
@@ -38,6 +43,7 @@ import (
 
 	"flattree/internal/analysis/sarif"
 	"flattree/internal/analysis/suite"
+	"flattree/internal/analysis/testonly"
 	"flattree/internal/parallel"
 )
 
@@ -57,6 +63,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		for _, a := range suite.Analyzers() {
 			names = append(names, a.Name)
 		}
+		names = append(names, testonly.Rule)
 		fmt.Fprintf(stderr, "usage: flatvet [-C dir] [-pkgs list] [-sarif file] [-workers n] [packages]\n\nAnalyzers: %s\nWaive with //flatvet:<rule> <reason> on or above the flagged line (rules: %s).\n",
 			strings.Join(names, " "), strings.Join(suite.KnownRules(), ", "))
 		fs.PrintDefaults()

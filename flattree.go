@@ -17,6 +17,10 @@
 //	topo := nw.Topology()                          // realized topology
 //	paths := nw.Routes().ServerPaths(src, dst)     // k-shortest paths
 //
+// A route lookup with a node that is not an attached server answers nil
+// (ServerPaths, ServerSlots) or false (ECMPServerPath) rather than
+// panicking.
+//
 // The internal packages carry the full machinery; the experiment harness
 // (cmd/flatsim, cmd/benchtables) regenerates every table and figure of the
 // paper. See DESIGN.md for the system inventory and EXPERIMENTS.md for
@@ -126,7 +130,8 @@ func (n *Network) PodModes() []Mode { return n.ctrl.Network().PodModes() }
 // Topology returns the realized topology for the current configuration.
 func (n *Network) Topology() *Topology { return n.ctrl.Realization().Topo }
 
-// Routes returns the installed k-shortest-path route table.
+// Routes returns the installed k-shortest-path route table. Its server
+// lookups answer nil for a node that is not an attached server.
 func (n *Network) Routes() *RouteTable { return n.ctrl.Table() }
 
 // MaxRulesPerSwitch reports the largest per-switch OpenFlow rule count

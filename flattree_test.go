@@ -129,3 +129,35 @@ func TestTableAndFatTreeConstructors(t *testing.T) {
 		t.Fatalf("fat-tree k=8 servers = %d", ft.TotalServers())
 	}
 }
+
+// TestRoutesNilForNonServer pins the route table's answer for a node that
+// is not an attached server (a switch, or an ID outside the topology):
+// ServerPaths and ServerSlots return nil and ECMPServerPath reports false,
+// as SwitchPaths does for a node that is not an ingress switch. A switch
+// used to panic with "topo: server N has no attachment".
+func TestRoutesNilForNonServer(t *testing.T) {
+	nw, err := flattree.NewNetwork(flattree.Example(), flattree.Options{N: 1, M: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, servers := nw.Routes(), nw.Servers()
+	sw, outside := nw.Topology().Switches()[0], len(nw.Topology().Nodes)
+	for _, pr := range [][2]int{{sw, servers[0]}, {servers[0], sw}, {-1, servers[0]}, {servers[0], outside}} {
+		if got := rt.ServerPaths(pr[0], pr[1]); got != nil {
+			t.Errorf("ServerPaths(%d, %d) = %v, want nil", pr[0], pr[1], got)
+		}
+		if got := rt.ServerSlots(pr[0], pr[1]); got != nil {
+			t.Errorf("ServerSlots(%d, %d) = %v, want nil", pr[0], pr[1], got)
+		}
+		if p, ok := rt.ECMPServerPath(pr[0], pr[1], 1); ok {
+			t.Errorf("ECMPServerPath(%d, %d) = %v, true; want false", pr[0], pr[1], p)
+		}
+	}
+	src, dst := servers[0], servers[len(servers)-1]
+	if len(rt.ServerPaths(src, dst)) == 0 || len(rt.ServerSlots(src, dst)) == 0 {
+		t.Fatalf("servers %d and %d have no paths", src, dst)
+	}
+	if _, ok := rt.ECMPServerPath(src, dst, 1); !ok {
+		t.Fatalf("servers %d and %d have no ECMP path", src, dst)
+	}
+}

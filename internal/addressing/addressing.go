@@ -53,17 +53,6 @@ func MakeAddress(switchID, pathID, topoID, serverID int) (Address, error) {
 		uint32(serverID)), nil
 }
 
-// SwitchID extracts the 13-bit ingress/egress switch ID.
-func (a Address) SwitchID() int {
-	return int(a>>(PathBits+TopoBits+ServerBits)) & MaxSwitchID
-}
-
-// PathID extracts the 3-bit path ID.
-func (a Address) PathID() int { return int(a>>(TopoBits+ServerBits)) & MaxPathID }
-
-// TopoID extracts the 2-bit topology mode ID.
-func (a Address) TopoID() int { return int(a>>ServerBits) & MaxTopoID }
-
 // ServerID extracts the 6-bit server ID.
 func (a Address) ServerID() int { return int(a) & MaxServerID }
 

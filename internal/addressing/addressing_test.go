@@ -252,11 +252,11 @@ func TestAssign(t *testing.T) {
 				seen[ad] = true
 			}
 		}
-		subs := a.SubflowsBetween(r.Topo.Servers()[0], r.Topo.Servers()[23])
+		subs := Subflows(a.Addrs[r.Topo.Servers()[0]], a.Addrs[r.Topo.Servers()[23]], a.K)
 		if len(subs) != 4 {
 			t.Fatalf("subflows = %d, want 4", len(subs))
 		}
-		if got := a.TotalAddresses(); got != 48 {
+		if got := len(seen); got != 48 {
 			t.Fatalf("total addresses = %d, want 48", got)
 		}
 	}
@@ -274,3 +274,14 @@ func TestAddressOverheadMatchesTestbed(t *testing.T) {
 		t.Fatalf("preconfigured addresses per server = %d, want 6", total)
 	}
 }
+
+// SwitchID extracts the 13-bit ingress/egress switch ID.
+func (a Address) SwitchID() int {
+	return int(a>>(PathBits+TopoBits+ServerBits)) & MaxSwitchID
+}
+
+// PathID extracts the 3-bit path ID.
+func (a Address) PathID() int { return int(a>>(TopoBits+ServerBits)) & MaxPathID }
+
+// TopoID extracts the 2-bit topology mode ID.
+func (a Address) TopoID() int { return int(a>>ServerBits) & MaxTopoID }

@@ -59,18 +59,3 @@ func Assign(t *topo.Topology, topoID, k int) (*Assignment, error) {
 	}
 	return a, nil
 }
-
-// SubflowsBetween returns the routed MPTCP subflow address pairs between
-// two servers under this assignment.
-func (a *Assignment) SubflowsBetween(src, dst int) []SubflowPair {
-	return Subflows(a.Addrs[src], a.Addrs[dst], a.K)
-}
-
-// TotalAddresses returns how many addresses the assignment preconfigures.
-func (a *Assignment) TotalAddresses() int {
-	total := 0
-	for _, addrs := range a.Addrs {
-		total += len(addrs)
-	}
-	return total
-}

@@ -11,6 +11,8 @@ import (
 // of next-hop output ports — into the 48-bit source MAC address, and
 // transit switches select the byte to match via the packet TTL. A 48-bit
 // MAC holds 6 hops of 8-bit port numbers (switches with up to 256 ports).
+// No binary source-routes packets, so the model of that data plane lives
+// in this test file, beside the tests in addressing_test.go that check it.
 
 // MaxHops is the number of hops a MAC-encoded source route can carry.
 const MaxHops = 6

@@ -2,6 +2,9 @@ package sarif
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 )
@@ -108,4 +111,31 @@ func TestDecodeNormalizesNils(t *testing.T) {
 	if !bytes.Equal(enc1, enc2) {
 		t.Fatalf("normalized form is not a fixpoint:\n%q\n%q", enc1, enc2)
 	}
+}
+
+// Decode parses a SARIF log, rejecting trailing garbage and version
+// mismatches. Unknown properties are dropped, which is what makes one
+// decode/encode pass normalizing.
+func Decode(data []byte) (Log, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	var l Log
+	if err := dec.Decode(&l); err != nil {
+		return Log{}, fmt.Errorf("sarif: decode: %w", err)
+	}
+	var extra json.RawMessage
+	if err := dec.Decode(&extra); err != io.EOF {
+		return Log{}, fmt.Errorf("sarif: trailing data after log")
+	}
+	if l.Version != Version {
+		return Log{}, fmt.Errorf("sarif: unsupported version %q (want %q)", l.Version, Version)
+	}
+	for i := range l.Runs {
+		if l.Runs[i].Results == nil {
+			l.Runs[i].Results = []Result{}
+		}
+		if l.Runs[i].Tool.Driver.Rules == nil {
+			l.Runs[i].Tool.Driver.Rules = []Rule{}
+		}
+	}
+	return l, nil
 }

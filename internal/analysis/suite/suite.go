@@ -2,10 +2,11 @@
 // package tree, the way golang.org/x/tools's multichecker assembles
 // go/analysis analyzers into a vet-style binary.
 //
-// Beyond fanning out the analyzers, the suite owns the two whole-tree
-// directive checks that no single analyzer can do: malformed
-// //flatvet: comments (reported instead of silently waiving nothing)
-// and well-formed waivers naming a rule no analyzer owns.
+// Beyond fanning out the analyzers, the suite owns the whole-tree
+// checks that no single analyzer can do: malformed //flatvet: comments
+// (reported instead of silently waiving nothing), well-formed waivers
+// naming a rule no check owns, and testonly, which needs every
+// package's references at once (see package testonly).
 package suite
 
 import (
@@ -30,6 +31,7 @@ import (
 	"flattree/internal/analysis/seededrand"
 	"flattree/internal/analysis/simclock"
 	"flattree/internal/analysis/spanend"
+	"flattree/internal/analysis/testonly"
 )
 
 // Analyzers returns the full flatvet suite in stable order.
@@ -48,8 +50,9 @@ func Analyzers() []*analysis.Analyzer {
 }
 
 // KnownRules returns, sorted, every directive rule name the suite
-// accepts: each analyzer's waiver rule plus hotalloc's hotpath marker,
-// which waives nothing but puts a function under contract.
+// accepts: each analyzer's waiver rule, testonly's waiver, and
+// hotalloc's hotpath marker, which waives nothing but puts a function
+// under contract.
 func KnownRules() []string {
 	var rules []string
 	for _, a := range Analyzers() {
@@ -57,7 +60,7 @@ func KnownRules() []string {
 			rules = append(rules, a.Directive)
 		}
 	}
-	rules = append(rules, hotalloc.Marker)
+	rules = append(rules, testonly.Rule, hotalloc.Marker)
 	sort.Strings(rules)
 	return rules
 }
@@ -70,7 +73,7 @@ type Diag struct {
 	Message  string
 }
 
-// Options narrows a Run.
+// Options narrows a RunOpts.
 type Options struct {
 	// Only, when non-empty, restricts analysis to packages whose final
 	// import-path segment is listed (the same matching rule analyzer
@@ -79,16 +82,16 @@ type Options struct {
 	Only []string
 }
 
-// Run loads patterns (default ./...) rooted at dir and applies every
-// analyzer, returning findings sorted by position. Type errors in the
-// tree are a hard error: analysis over a broken tree reports nonsense.
-func Run(dir string, patterns ...string) ([]Diag, error) {
-	return RunOpts(dir, Options{}, patterns...)
-}
-
-// RunOpts is Run with an Options filter.
+// RunOpts loads patterns (default ./...) rooted at dir and applies every
+// analyzer and the whole-tree checks, returning findings sorted by
+// position. Type errors in the tree are a hard error: analysis over a
+// broken tree reports nonsense.
 func RunOpts(dir string, opts Options, patterns ...string) ([]Diag, error) {
 	pkgs, err := load.Load(dir, patterns...)
+	if err != nil {
+		return nil, err
+	}
+	prog, err := program(dir, pkgs, patterns)
 	if err != nil {
 		return nil, err
 	}
@@ -101,7 +104,13 @@ func RunOpts(dir string, opts Options, patterns ...string) ([]Diag, error) {
 		known[r] = true
 	}
 	knownList := strings.Join(KnownRules(), ", ")
+	for _, pkg := range prog {
+		if len(pkg.TypeErrors) > 0 {
+			return nil, fmt.Errorf("%s does not type-check: %v", pkg.ImportPath, pkg.TypeErrors[0])
+		}
+	}
 	var diags []Diag
+	var targets []*load.Package
 	for _, pkg := range pkgs {
 		if len(pkg.TypeErrors) > 0 {
 			return nil, fmt.Errorf("%s does not type-check: %v", pkg.ImportPath, pkg.TypeErrors[0])
@@ -109,6 +118,7 @@ func RunOpts(dir string, opts Options, patterns ...string) ([]Diag, error) {
 		if len(only) > 0 && !only[path.Base(pkg.ImportPath)] {
 			continue
 		}
+		targets = append(targets, pkg)
 		ix := directive.NewIndex(pkg.Fset, pkg.Files)
 		for _, m := range ix.Malformed() {
 			diags = append(diags, Diag{Position: pkg.Fset.Position(m.Pos), Analyzer: "flatvet", Message: m.Err})
@@ -132,6 +142,9 @@ func RunOpts(dir string, opts Options, patterns ...string) ([]Diag, error) {
 			}
 		}
 	}
+	for _, f := range testonly.Check(prog, targets) {
+		diags = append(diags, Diag{Position: f.Pos, Analyzer: testonly.Rule, Message: f.Message})
+	}
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
 		if a.Position.Filename != b.Position.Filename {
@@ -151,6 +164,33 @@ func RunOpts(dir string, opts Options, patterns ...string) ([]Diag, error) {
 	return diags, nil
 }
 
+// program returns every package whose non-test files count as
+// references for testonly: the whole module at dir (pkgs when patterns
+// already load all of it) plus the packages of each nested module that
+// replaces this one with a local path, as a separate benchmark module
+// does to reach internal packages.
+func program(dir string, pkgs []*load.Package, patterns []string) ([]*load.Package, error) {
+	prog := pkgs
+	if len(patterns) != 1 || patterns[0] != "./..." {
+		var err error
+		if prog, err = load.Load(dir, "./..."); err != nil {
+			return nil, err
+		}
+	}
+	nested, err := load.ReplacingModules(dir)
+	if err != nil {
+		return nil, err
+	}
+	for _, m := range nested {
+		extra, err := load.Load(m, "./...")
+		if err != nil {
+			return nil, err
+		}
+		prog = append(prog[:len(prog):len(prog)], extra...)
+	}
+	return prog, nil
+}
+
 // Format writes diags one per line as "path:line:col: analyzer:
 // message", with paths relative to base when possible.
 func Format(w io.Writer, base string, diags []Diag) {
@@ -160,10 +200,10 @@ func Format(w io.Writer, base string, diags []Diag) {
 }
 
 // ToSARIF converts diags into a single-run SARIF log whose driver
-// declares every suite analyzer (plus the directive-syntax pseudo-rule
-// "flatvet") and whose artifact URIs are relative to base when
+// declares every suite analyzer, testonly and the directive-syntax
+// pseudo-rule "flatvet", and whose artifact URIs are relative to base when
 // possible. The output is deterministic: rules sorted by ID, results
-// in the order Run produced them (already position-sorted).
+// in the order RunOpts produced them (already position-sorted).
 func ToSARIF(base string, diags []Diag) sarif.Log {
 	rules := []sarif.Rule{{
 		ID:               "flatvet",
@@ -172,6 +212,7 @@ func ToSARIF(base string, diags []Diag) sarif.Log {
 	for _, a := range Analyzers() {
 		rules = append(rules, sarif.Rule{ID: a.Name, ShortDescription: sarif.Message{Text: a.Doc}})
 	}
+	rules = append(rules, sarif.Rule{ID: testonly.Rule, ShortDescription: sarif.Message{Text: testonly.Doc}})
 	sort.Slice(rules, func(i, j int) bool { return rules[i].ID < rules[j].ID })
 	results := make([]sarif.Result, 0, len(diags))
 	for _, d := range diags {

@@ -289,7 +289,6 @@ func TestCompileWorkerInvariance(t *testing.T) {
 		t.Helper()
 		parallel.SetDefaultWorkers(workers)
 		defer parallel.SetDefaultWorkers(0)
-		routing.PurgeCache()
 		trace := GenerateTrace(tp, 5, 1.0, 0.5, 41)
 		plan, err := e.Compile(trace, conns)
 		if err != nil {

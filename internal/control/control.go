@@ -223,9 +223,6 @@ func (c *Controller) Realization() *core.Realization { return c.realization }
 // returned table does not change when the controller installs new state.
 func (c *Controller) Table() *routing.Table { return c.table }
 
-// RulesPerSwitch returns the installed per-switch rule counts.
-func (c *Controller) RulesPerSwitch() map[int]int { return c.inc.RulesPerSwitch() }
-
 // MaxRulesPerSwitch returns the largest per-switch rule count — the §5.3
 // figure of merit (242/180/76 on the testbed).
 func (c *Controller) MaxRulesPerSwitch() int {

@@ -307,12 +307,10 @@ func TestHybridNeverCached(t *testing.T) {
 	}
 }
 
-func TestRepairLinkRollsBackOnError(t *testing.T) {
-	// RepairLink must restore the failure record if reinstall fails, so
-	// bookkeeping never diverges from installed state. Reinstall cannot
-	// fail on the example network (repair only adds links back), so this
-	// exercises the bookkeeping contract indirectly: a failed link stays
-	// listed across conversions and repairs cleanly afterwards.
+// TestFailureRecordSurvivesConversion checks that a recorded failure is
+// carried across a conversion: the link stays listed in the new mode, and
+// one RepairLink there clears the record.
+func TestFailureRecordSurvivesConversion(t *testing.T) {
 	c := exampleController(t)
 	tp := c.Realization().Topo
 	var a, b int

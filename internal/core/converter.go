@@ -96,21 +96,3 @@ func ValidateMatching(kind ConverterKind, xcs []CrossConnect) error {
 	}
 	return nil
 }
-
-// EndpointLinks translates a converter's circuit matching into the
-// endpoint pairs it realizes, given the physical attachments of its ports.
-// attach maps each port to a node ID (use -1 for unattached side ports at
-// linear boundaries); circuits touching an unattached port realize no
-// link.
-func EndpointLinks(xcs []CrossConnect, attach map[Port]int) [][2]int {
-	var out [][2]int
-	for _, xc := range xcs {
-		a, okA := attach[xc.A]
-		b, okB := attach[xc.B]
-		if !okA || !okB || a < 0 || b < 0 {
-			continue
-		}
-		out = append(out, [2]int{a, b})
-	}
-	return out
-}

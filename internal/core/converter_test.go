@@ -1,6 +1,10 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"flattree/internal/graph"
+)
 
 func TestCrossConnectsAreValidMatchings(t *testing.T) {
 	cases := []struct {
@@ -90,7 +94,7 @@ func TestMatchingMatchesRealization(t *testing.T) {
 					}
 					continue
 				}
-				if !r.Topo.G.HasLinkBetween(ep[0], ep[1]) {
+				if !linked(r.Topo.G, ep[0], ep[1]) {
 					t.Fatalf("converter %+v: matching link %v absent from realization", cv, ep)
 				}
 			}
@@ -114,4 +118,32 @@ func TestPortString(t *testing.T) {
 	if Port(99).String() == "" {
 		t.Fatal("out-of-range port name empty")
 	}
+}
+
+// linked reports whether at least one link directly connects a and b.
+func linked(g *graph.Graph, a, b int) bool {
+	for _, id := range g.Incident(a) {
+		if g.Link(id).Other(a) == b {
+			return true
+		}
+	}
+	return false
+}
+
+// EndpointLinks translates a converter's circuit matching into the
+// endpoint pairs it realizes, given the physical attachments of its ports.
+// attach maps each port to a node ID (use -1 for unattached side ports at
+// linear boundaries); circuits touching an unattached port realize no
+// link.
+func EndpointLinks(xcs []CrossConnect, attach map[Port]int) [][2]int {
+	var out [][2]int
+	for _, xc := range xcs {
+		a, okA := attach[xc.A]
+		b, okB := attach[xc.B]
+		if !okA || !okB || a < 0 || b < 0 {
+			continue
+		}
+		out = append(out, [2]int{a, b})
+	}
+	return out
 }

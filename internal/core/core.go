@@ -259,8 +259,13 @@ func (nw *Network) Options() Options { return nw.opt }
 // switch's connectors reach.
 func (nw *Network) CoreGroupSize() int { return nw.clos.AggUplinks / nw.clos.R() }
 
-// SetMode puts every pod in the given mode.
+// SetMode puts every pod in the given mode. It panics with CheckMode's
+// error, before changing any pod, on a mode other than clos, local and
+// global; SetPodMode returns that error instead.
 func (nw *Network) SetMode(m Mode) {
+	if err := CheckMode(m); err != nil {
+		panic(err)
+	}
 	for i := range nw.podModes {
 		nw.podModes[i] = m
 	}

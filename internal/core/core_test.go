@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -465,9 +467,10 @@ func TestServerIndexStable(t *testing.T) {
 	for pod := 0; pod < cp.Pods; pod++ {
 		for j := 0; j < cp.EdgesPerPod; j++ {
 			for s := 0; s < cp.ServersPerEdge; s++ {
-				idx := nw.ServerIndex(pod, j, s)
+				// Servers are numbered pod-major: pod, edge column, slot.
+				idx := (pod*cp.EdgesPerPod+j)*cp.ServersPerEdge + s
 				if got := r.Topo.Servers()[idx]; got != r.ServerID[pod][j][s] {
-					t.Fatalf("ServerIndex(%d,%d,%d) = %d maps to node %d, want %d",
+					t.Fatalf("server (%d,%d,%d) at index %d is node %d, want %d",
 						pod, j, s, idx, got, r.ServerID[pod][j][s])
 				}
 			}
@@ -530,5 +533,54 @@ func TestRealizationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// CheckProperty1 verifies that servers are distributed uniformly across
+// core switches (Property 1, §3.2): the per-core server count varies by at
+// most tolerance.
+func CheckProperty1(r *Realization, tolerance int) error {
+	if s := CensusSpread(CensusCores(r)).Servers; s > tolerance {
+		return fmt.Errorf("core: Property 1 violated: per-core server spread %d > %d", s, tolerance)
+	}
+	return nil
+}
+
+// CheckProperty2 verifies that core switches carry an equal number of links
+// of each type (Property 2, §3.2), within the given tolerance.
+func CheckProperty2(r *Realization, tolerance int) error {
+	s := CensusSpread(CensusCores(r))
+	if s.ToEdge > tolerance {
+		return fmt.Errorf("core: Property 2 violated: per-core edge-link spread %d > %d", s.ToEdge, tolerance)
+	}
+	if s.ToAgg > tolerance {
+		return fmt.Errorf("core: Property 2 violated: per-core agg-link spread %d > %d", s.ToAgg, tolerance)
+	}
+	return nil
+}
+
+// TestSetModeRejectsInvalidMode pins SetMode's documented panic: CheckMode's
+// error, raised before any pod changes, so PodModes reads as before. It
+// used to store the mode, and Realize later panicked with another text.
+func TestSetModeRejectsInvalidMode(t *testing.T) {
+	nw, err := ExampleNetwork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := nw.SetPodMode(1, ModeGlobal); err != nil {
+		t.Fatal(err)
+	}
+	before := nw.PodModes()
+	func() {
+		defer func() {
+			err, ok := recover().(error)
+			if want := "core: invalid mode Mode(7) (want clos, local or global)"; !ok || err.Error() != want {
+				t.Fatalf("SetMode(Mode(7)) panicked with %v, want error %q", err, want)
+			}
+		}()
+		nw.SetMode(Mode(7))
+	}()
+	if got := nw.PodModes(); !slices.Equal(got, before) {
+		t.Fatalf("SetMode(Mode(7)) left pod modes %v, want %v", got, before)
 	}
 }

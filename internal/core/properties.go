@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"flattree/internal/topo"
-)
+import "flattree/internal/topo"
 
 // CoreLinkCensus counts, for one core switch, its attached servers and its
 // links toward edge and aggregation switches. Properties 1 and 2 of §3.2
@@ -43,44 +39,19 @@ func CensusCores(r *Realization) []CoreLinkCensus {
 	return out
 }
 
-// spread returns max-min of the given per-core counts.
-func spread(census []CoreLinkCensus, field func(CoreLinkCensus) int) int {
+// CensusSpread returns, per field, the max-min spread of a census over
+// the core switches: 0 is perfectly uniform, and an empty census spreads
+// by 0. Property 1 bounds the Servers spread and Property 2 the ToEdge
+// and ToAgg spreads.
+func CensusSpread(census []CoreLinkCensus) CoreLinkCensus {
 	if len(census) == 0 {
-		return 0
+		return CoreLinkCensus{}
 	}
-	min, max := field(census[0]), field(census[0])
+	lo, hi := census[0], census[0]
 	for _, c := range census[1:] {
-		v := field(c)
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
+		lo.Servers, hi.Servers = min(lo.Servers, c.Servers), max(hi.Servers, c.Servers)
+		lo.ToEdge, hi.ToEdge = min(lo.ToEdge, c.ToEdge), max(hi.ToEdge, c.ToEdge)
+		lo.ToAgg, hi.ToAgg = min(lo.ToAgg, c.ToAgg), max(hi.ToAgg, c.ToAgg)
 	}
-	return max - min
-}
-
-// CheckProperty1 verifies that servers are distributed uniformly across
-// core switches (Property 1, §3.2): the per-core server count varies by at
-// most tolerance.
-func CheckProperty1(r *Realization, tolerance int) error {
-	census := CensusCores(r)
-	if s := spread(census, func(c CoreLinkCensus) int { return c.Servers }); s > tolerance {
-		return fmt.Errorf("core: Property 1 violated: per-core server spread %d > %d", s, tolerance)
-	}
-	return nil
-}
-
-// CheckProperty2 verifies that core switches carry an equal number of links
-// of each type (Property 2, §3.2), within the given tolerance.
-func CheckProperty2(r *Realization, tolerance int) error {
-	census := CensusCores(r)
-	if s := spread(census, func(c CoreLinkCensus) int { return c.ToEdge }); s > tolerance {
-		return fmt.Errorf("core: Property 2 violated: per-core edge-link spread %d > %d", s, tolerance)
-	}
-	if s := spread(census, func(c CoreLinkCensus) int { return c.ToAgg }); s > tolerance {
-		return fmt.Errorf("core: Property 2 violated: per-core agg-link spread %d > %d", s, tolerance)
-	}
-	return nil
+	return CoreLinkCensus{Servers: hi.Servers - lo.Servers, ToEdge: hi.ToEdge - lo.ToEdge, ToAgg: hi.ToAgg - lo.ToAgg}
 }

@@ -180,10 +180,3 @@ func (nw *Network) addSideLinks(r *Realization, pod, edgeCol, row int, cfg Confi
 		r.Topo.AddLink(a, pe)
 	}
 }
-
-// ServerIndex returns the stable global index of server slot s on edge
-// column j of the pod: pod*d*sd + j*sd + s. It matches the server node
-// order in Realize.
-func (nw *Network) ServerIndex(pod, edgeCol, slot int) int {
-	return (pod*nw.clos.EdgesPerPod+edgeCol)*nw.clos.ServersPerEdge + slot
-}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"flattree/internal/core"
+	"flattree/internal/metrics"
 	"flattree/internal/topo"
 	"flattree/internal/traffic"
 )
@@ -505,3 +506,6 @@ func TestRegistrySweep(t *testing.T) {
 		})
 	}
 }
+
+// Median returns the median FCT (ms) of a series.
+func (s Fig8Series) Median() float64 { return metrics.Percentile(s.FCTs, 0.5) }

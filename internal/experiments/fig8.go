@@ -209,9 +209,6 @@ func (c Config) Fig8With(workloads []string, networks []Fig8Network) (*Fig8Resul
 	return res, nil
 }
 
-// Median returns the median FCT (ms) of a series.
-func (s Fig8Series) Median() float64 { return metrics.Percentile(s.FCTs, 0.5) }
-
 // Render tabulates median / p90 / p99 FCT per workload and network —
 // the summary statistics of the Figure 8 CDFs.
 func (r *Fig8Result) Render() string {

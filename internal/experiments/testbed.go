@@ -298,37 +298,12 @@ func (c Config) Props() (*PropsResult, error) {
 			}
 			nw.SetMode(core.ModeGlobal)
 			r := nw.Realize()
-			census := core.CensusCores(r)
-			row := PropsRow{Topology: p.Name, Pattern: pat}
-			minS, maxS := census[0].Servers, census[0].Servers
-			minE, maxE := census[0].ToEdge, census[0].ToEdge
-			minA, maxA := census[0].ToAgg, census[0].ToAgg
-			for _, cs := range census[1:] {
-				minS, maxS = minInt(minS, cs.Servers), maxInt(maxS, cs.Servers)
-				minE, maxE = minInt(minE, cs.ToEdge), maxInt(maxE, cs.ToEdge)
-				minA, maxA = minInt(minA, cs.ToAgg), maxInt(maxA, cs.ToAgg)
-			}
-			row.ServerSpread = maxS - minS
-			row.EdgeSpread = maxE - minE
-			row.AggSpread = maxA - minA
-			res.Rows = append(res.Rows, row)
+			s := core.CensusSpread(core.CensusCores(r))
+			res.Rows = append(res.Rows, PropsRow{Topology: p.Name, Pattern: pat,
+				ServerSpread: s.Servers, EdgeSpread: s.ToEdge, AggSpread: s.ToAgg})
 		}
 	}
 	return res, nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Render formats the property spreads.

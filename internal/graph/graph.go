@@ -10,7 +10,6 @@ package graph
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 )
 
@@ -94,31 +93,6 @@ func (g *Graph) Incident(n int) []int { return g.adj[n] }
 // Degree returns the number of links incident to n.
 func (g *Graph) Degree(n int) int { return len(g.adj[n]) }
 
-// Neighbors returns the distinct neighbor node IDs of n in ascending order.
-func (g *Graph) Neighbors(n int) []int {
-	seen := make(map[int]bool, len(g.adj[n]))
-	var out []int
-	for _, id := range g.adj[n] {
-		m := g.links[id].Other(n)
-		if !seen[m] {
-			seen[m] = true
-			out = append(out, m)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-// HasLinkBetween reports whether at least one link directly connects a and b.
-func (g *Graph) HasLinkBetween(a, b int) bool {
-	for _, id := range g.adj[a] {
-		if g.links[id].Other(a) == b {
-			return true
-		}
-	}
-	return false
-}
-
 // coreAdj returns the core adjacency: per node, the incident links whose
 // far end has degree at least 2, in insertion order. A node with no
 // degree-1 neighbour shares its adj slice. The view is built on first use
@@ -150,17 +124,6 @@ func (g *Graph) coreAdj() [][]int {
 	return c
 }
 
-// Clone returns a deep copy of the graph. The copy derives its own core
-// adjacency on first use.
-func (g *Graph) Clone() *Graph {
-	c := &Graph{n: g.n, links: make([]Link, len(g.links)), adj: make([][]int, len(g.adj))}
-	copy(c.links, g.links)
-	for i, a := range g.adj {
-		c.adj[i] = append([]int(nil), a...)
-	}
-	return c
-}
-
 // Path is a walk through the graph: Nodes has one more element than Links,
 // and Links[i] connects Nodes[i] to Nodes[i+1].
 type Path struct {
@@ -170,35 +133,6 @@ type Path struct {
 
 // Len returns the hop count of the path (number of links).
 func (p Path) Len() int { return len(p.Links) }
-
-// Valid reports whether the path is structurally consistent with g.
-func (p Path) Valid(g *Graph) bool {
-	if len(p.Nodes) != len(p.Links)+1 || len(p.Nodes) == 0 {
-		return false
-	}
-	for i, id := range p.Links {
-		if id < 0 || id >= g.NumLinks() {
-			return false
-		}
-		l := g.Link(id)
-		if !(l.A == p.Nodes[i] && l.B == p.Nodes[i+1]) && !(l.B == p.Nodes[i] && l.A == p.Nodes[i+1]) {
-			return false
-		}
-	}
-	return true
-}
-
-// Loopless reports whether the path visits each node at most once.
-func (p Path) Loopless() bool {
-	seen := make(map[int]bool, len(p.Nodes))
-	for _, n := range p.Nodes {
-		if seen[n] {
-			return false
-		}
-		seen[n] = true
-	}
-	return true
-}
 
 // equalNodes reports whether two paths visit the same node sequence.
 func equalNodes(a, b []int) bool {
@@ -218,7 +152,7 @@ func equalNodes(a, b []int) bool {
 func (g *Graph) BFSDistances(src int) []int { return g.BFSDistancesBanned(src, nil) }
 
 // BFSDistancesBanned is BFSDistances on the subgraph without the banned
-// links. As in KShortestPathsBanned, only true entries ban a link and nil
+// links. As in KShortestPairs, only true entries ban a link and nil
 // bans nothing. A degree-1 neighbour gets its distance but is never
 // expanded: its only link leads back to the node that reached it. A
 // degree-1 source is expanded like any other. It runs the loop behind
@@ -246,42 +180,6 @@ func (g *Graph) Connected() bool {
 		}
 	}
 	return true
-}
-
-// ShortestPath returns a minimum-hop path from src to dst, or ok=false when
-// dst is unreachable. Ties are broken deterministically by link insertion
-// order. It is Yen's first path: the same pooled search, with k = 1.
-func (g *Graph) ShortestPath(src, dst int) (Path, bool) {
-	paths := g.KShortestPaths(src, dst, 1)
-	if len(paths) == 0 {
-		return Path{}, false
-	}
-	return paths[0], true
-}
-
-// AveragePathLength returns the mean BFS hop distance over all ordered pairs
-// drawn from nodes. Unreachable pairs are ignored; it returns 0 when there
-// are no reachable pairs.
-func (g *Graph) AveragePathLength(nodes []int) float64 {
-	inSet := make(map[int]bool, len(nodes))
-	for _, n := range nodes {
-		inSet[n] = true
-	}
-	var total, count int64
-	for _, s := range nodes {
-		dist := g.BFSDistances(s)
-		for _, t := range nodes {
-			if t == s || dist[t] < 0 {
-				continue
-			}
-			total += int64(dist[t])
-			count++
-		}
-	}
-	if count == 0 {
-		return 0
-	}
-	return float64(total) / float64(count)
 }
 
 // Diameter returns the maximum finite BFS distance between any pair of the

@@ -56,8 +56,10 @@ func TestParallelLinks(t *testing.T) {
 	if g.NumLinks() != 2 {
 		t.Fatalf("want 2 parallel links, got %d", g.NumLinks())
 	}
-	if got := g.Neighbors(0); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("Neighbors(0) = %v", got)
+	for _, id := range g.Incident(0) {
+		if other := g.Link(id).Other(0); other != 1 {
+			t.Fatalf("link %d from 0 leads to %d, want 1", id, other)
+		}
 	}
 	if g.Degree(0) != 2 {
 		t.Fatalf("Degree(0) = %d, want 2 (parallel links count)", g.Degree(0))
@@ -443,4 +445,112 @@ func TestKShortestPathsBannedMatchesRebuild(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Clone returns a deep copy of the graph. The copy derives its own core
+// adjacency on first use.
+func (g *Graph) Clone() *Graph {
+	c := &Graph{n: g.n, links: make([]Link, len(g.links)), adj: make([][]int, len(g.adj))}
+	copy(c.links, g.links)
+	for i, a := range g.adj {
+		c.adj[i] = append([]int(nil), a...)
+	}
+	return c
+}
+
+// Valid reports whether the path is structurally consistent with g.
+func (p Path) Valid(g *Graph) bool {
+	if len(p.Nodes) != len(p.Links)+1 || len(p.Nodes) == 0 {
+		return false
+	}
+	for i, id := range p.Links {
+		if id < 0 || id >= g.NumLinks() {
+			return false
+		}
+		l := g.Link(id)
+		if !(l.A == p.Nodes[i] && l.B == p.Nodes[i+1]) && !(l.B == p.Nodes[i] && l.A == p.Nodes[i+1]) {
+			return false
+		}
+	}
+	return true
+}
+
+// Loopless reports whether the path visits each node at most once.
+func (p Path) Loopless() bool {
+	seen := make(map[int]bool, len(p.Nodes))
+	for _, n := range p.Nodes {
+		if seen[n] {
+			return false
+		}
+		seen[n] = true
+	}
+	return true
+}
+
+// ShortestPath returns a minimum-hop path from src to dst, or ok=false when
+// dst is unreachable. Ties are broken deterministically by link insertion
+// order. It is Yen's first path: the same pooled search, with k = 1.
+func (g *Graph) ShortestPath(src, dst int) (Path, bool) {
+	paths := g.KShortestPaths(src, dst, 1)
+	if len(paths) == 0 {
+		return Path{}, false
+	}
+	return paths[0], true
+}
+
+// AveragePathLength returns the mean BFS hop distance over all ordered pairs
+// drawn from nodes. Unreachable pairs are ignored; it returns 0 when there
+// are no reachable pairs.
+func (g *Graph) AveragePathLength(nodes []int) float64 {
+	inSet := make(map[int]bool, len(nodes))
+	for _, n := range nodes {
+		inSet[n] = true
+	}
+	var total, count int64
+	for _, s := range nodes {
+		dist := g.BFSDistances(s)
+		for _, t := range nodes {
+			if t == s || dist[t] < 0 {
+				continue
+			}
+			total += int64(dist[t])
+			count++
+		}
+	}
+	if count == 0 {
+		return 0
+	}
+	return float64(total) / float64(count)
+}
+
+// KShortestPaths is KShortestPathsBanned with no links banned.
+func (g *Graph) KShortestPaths(src, dst, k int) []Path {
+	return g.KShortestPathsBanned(src, dst, k, nil)
+}
+
+// KShortestPathsBanned is KShortestPairs for the one pair (src, dst): the
+// same bounded Yen on a pooled scratch, with dst's distance row computed
+// for this call alone. The returned paths share one backing array
+// allocated for the caller.
+func (g *Graph) KShortestPathsBanned(src, dst, k int, banned map[int]bool) []Path {
+	if k <= 0 {
+		return nil
+	}
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	return s.yen(g, src, dst, k, banned)
+}
+
+// yen is KShortestPathsBanned on this scratch: it sorts the ban set into
+// the scratch and, when spurs can run (k > 1), computes dst's distance
+// row for this call alone.
+func (s *scratch) yen(g *Graph, src, dst, k int, banned map[int]bool) []Path {
+	s.fit(g)
+	s.bans = sortedBans(s.bans, g, banned)
+	var row []int
+	if k > 1 {
+		row = make([]int, g.n)
+		s.distances(g, dst, s.bans, row)
+	}
+	return s.kshortest(g, src, dst, k, s.bans, row)
 }

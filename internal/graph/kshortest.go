@@ -3,54 +3,12 @@ package graph
 import (
 	"math"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"flattree/internal/parallel"
 	"flattree/internal/telemetry"
 )
-
-// KShortestPaths returns up to k loopless minimum-hop paths from src to dst
-// using Yen's algorithm (Yen 1971), the algorithm the paper adopts for
-// k-shortest-path routing. Paths are ordered by increasing hop count; ties
-// are broken by deterministic BFS order so results are reproducible.
-func (g *Graph) KShortestPaths(src, dst, k int) []Path {
-	return g.KShortestPathsBanned(src, dst, k, nil)
-}
-
-// KShortestPathsBanned is KShortestPaths on the subgraph that excludes the
-// banned links — the entry point incremental route repair uses to re-route
-// around masked (failed) links without rebuilding a pruned graph. Only
-// true entries ban a link, and IDs outside the graph are ignored. The
-// banned set is only read, so concurrent calls may share it; nil means no
-// links are banned. Determinism matches KShortestPaths: for any banned
-// set, the same graph yields the same paths in the same order.
-//
-// Every search runs the pooled stamped BFS (scratch.search); the returned
-// paths share one backing array allocated for the caller. The call
-// computes dst's distance row in the pooled scratch; a batch of pairs
-// shares one row per destination through KShortestPairs instead.
-func (g *Graph) KShortestPathsBanned(src, dst, k int, banned map[int]bool) []Path {
-	if k <= 0 {
-		return nil
-	}
-	s := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(s)
-	return s.yen(g, src, dst, k, banned)
-}
-
-// yen is KShortestPathsBanned on this scratch: it sorts the ban set into
-// the scratch and, when spurs can run (k > 1), computes dst's distance
-// row there for this call alone.
-func (s *scratch) yen(g *Graph, src, dst, k int, banned map[int]bool) []Path {
-	s.fit(g)
-	s.bans = sortedBans(s.bans, g, banned)
-	var row []int
-	if k > 1 {
-		row = s.row[:g.n]
-		s.distances(g, dst, s.bans, row)
-	}
-	return s.kshortest(g, src, dst, k, s.bans, row)
-}
 
 // kshortest is bounded Yen on this scratch, with the caller's bans
 // (ascending in-range link IDs) and dst's distance row over them (row[v]
@@ -205,34 +163,49 @@ func (g *Graph) KShortestAllPairs(pairs []PairKey, k int) [][]Path {
 	return g.KShortestPairs(pairs, k, nil)
 }
 
-// KShortestPairs computes KShortestPathsBanned for every ordered pair in
-// pairs, all on one banned set, on the shared bounded worker pool (at
-// most parallel.DefaultWorkers goroutines, whatever the pair count). The
+// KShortestPairs returns, for every ordered pair in pairs, up to k
+// loopless minimum-hop paths from its Src to its Dst on the subgraph that
+// excludes the banned links, using Yen's algorithm (Yen 1971), the
+// algorithm the paper adopts for k-shortest-path routing. Each pair's
+// paths are ordered by increasing hop count; ties are broken by
+// deterministic BFS order, so for any banned set the same graph yields
+// the same paths in the same order. Incremental route repair uses the
+// bans to re-route around masked (failed) links without rebuilding a
+// pruned graph. Only true entries ban a link, and IDs outside the graph
+// are ignored; the banned set is only read, and nil bans nothing.
+//
+// The pairs run on the shared bounded worker pool (at most
+// parallel.DefaultWorkers goroutines, whatever the pair count), and the
 // result holds each pair's path list at the pair's index in pairs. It
 // sorts the banned set once and computes one distance row per distinct
 // destination (a reverse BFS over the unbanned links, one pool task
-// each), which every pair toward that destination shares. Pair
-// computations are then independent, mirroring the paper's note that
-// k-shortest-path routing parallelizes trivially (§4.3); each task
-// takes its own search scratch from the pool, and results are collected
-// by index, so the table is identical for any worker count.
+// each), which every pair toward that destination shares; the rows come
+// from a pooled buffer that the next batch reuses. Pair computations are
+// then independent, mirroring the paper's note that k-shortest-path
+// routing parallelizes trivially (§4.3); each task takes its own search
+// scratch from the pool, and results are collected by index, so the
+// table is identical for any worker count.
 //
 // Once per batch it adds the pairs, the paths, the spur searches run
 // and skipped, and the nodes the depth limit kept out of a search to
 // the graph_yen_* counters.
 func (g *Graph) KShortestPairs(pairs []PairKey, k int, banned map[int]bool) [][]Path {
 	bans := sortedBans(nil, g, banned)
+	buf := rowPool.Get().(*rowBuf)
+	defer rowPool.Put(buf)
 	// at[v] is 1 + the index of v's row in rows, 0 while v is no pair's
 	// destination.
-	at := make([]int32, g.n)
-	dsts := make([]int, 0, min(len(pairs), g.n))
+	at := resize(buf.at, g.n)
+	clear(at)
+	dsts := buf.dsts[:0]
 	for _, pk := range pairs {
 		if at[pk.Dst] == 0 {
 			dsts = append(dsts, pk.Dst)
 			at[pk.Dst] = int32(len(dsts))
 		}
 	}
-	rows := make([]int, len(dsts)*g.n)
+	rows := resize(buf.rows, len(dsts)*g.n)
+	buf.at, buf.dsts, buf.rows = at, dsts, rows
 	rowOf := func(dst int) []int {
 		j := int(at[dst]-1) * g.n
 		return rows[j : j+g.n : j+g.n]
@@ -266,4 +239,25 @@ func (g *Graph) KShortestPairs(pairs []PairKey, k int, banned map[int]bool) [][]
 	telemetry.C("graph_yen_spurs_skipped_total").Add(skipped.Load())
 	telemetry.C("graph_yen_pruned_nodes_total").Add(pruned.Load())
 	return results
+}
+
+// rowBuf is one KShortestPairs batch's destination index, destination
+// list and distance rows. Every incremental repair is a batch, so the
+// buffer is pooled: a batch reuses the arrays the last one grew instead
+// of allocating destinations x nodes ints afresh.
+type rowBuf struct {
+	at   []int32
+	dsts []int
+	rows []int
+}
+
+var rowPool = sync.Pool{New: func() any { return new(rowBuf) }}
+
+// resize returns buf with length n, reallocating only when its capacity
+// is short. The contents are not cleared.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // scratch is the reusable state behind every path search in this
-// package: ShortestPath, Yen's first path and each of its spurs all run
-// the one breadth-first search below over it, and every hop-distance
+// package: Yen's first path and each of its spurs all run the one
+// breadth-first search below over it, and every hop-distance
 // array (BFSDistancesBanned, Yen's distance rows) comes from the one
 // distance loop. Marks are stamps, not booleans: each search draws a
 // fresh stamp, and a node is visited (a link banned) in that search
@@ -31,10 +31,9 @@ type scratch struct {
 	ban   []uint32 // link -> stamp of the search that bans it
 	prev  []int    // node -> link that discovered it; meaningful where visit is current
 	queue []int    // BFS queue; capacity covers every node, so it never grows
-	row   []int    // a lone KShortestPathsBanned call's distance row
+	bans  []int    // a BFSDistancesBanned call's in-range banned link IDs, ascending
 
 	// Yen state, reset by each call.
-	bans     []int  // a lone call's in-range link IDs its banned set maps to true, ascending
 	arena    []int  // node sequence then link sequence of every stored path, back to back
 	paths    []span // stored paths: the first path, then each distinct candidate in discovery order
 	cands    []int  // indexes into paths of the pool, in reverse acceptance order: the next to accept is last
@@ -51,9 +50,8 @@ type span struct {
 	hash      uint64
 }
 
-// scratchPool holds idle scratch; each KShortestPathsBanned or
-// BFSDistancesBanned call, and each task of a KShortestPairs batch,
-// takes one for its duration.
+// scratchPool holds idle scratch; each BFSDistancesBanned call, and each
+// task of a KShortestPairs batch, takes one for its duration.
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // fit sizes the per-node and per-link arrays for g, reallocating all of
@@ -67,7 +65,6 @@ func (s *scratch) fit(g *Graph) {
 	s.ban = make([]uint32, m)
 	s.prev = make([]int, n)
 	s.queue = make([]int, 0, n)
-	s.row = make([]int, n)
 }
 
 // next draws the stamp for one search.

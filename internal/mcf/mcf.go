@@ -47,20 +47,6 @@ type Result struct {
 	PerFlow []float64
 }
 
-// Min returns the minimum per-flow throughput.
-func (r Result) Min() float64 {
-	if len(r.PerFlow) == 0 {
-		return 0
-	}
-	min := math.Inf(1)
-	for _, f := range r.PerFlow {
-		if f < min {
-			min = f
-		}
-	}
-	return min
-}
-
 // Options tune the approximation.
 type Options struct {
 	// Epsilon is the FPTAS accuracy parameter, in (0, 1); 0 defaults to

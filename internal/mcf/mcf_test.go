@@ -297,3 +297,17 @@ func TestMaxConcurrentProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Min returns the minimum per-flow throughput.
+func (r Result) Min() float64 {
+	if len(r.PerFlow) == 0 {
+		return 0
+	}
+	min := math.Inf(1)
+	for _, f := range r.PerFlow {
+		if f < min {
+			min = f
+		}
+	}
+	return min
+}

@@ -46,34 +46,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Min returns the minimum, NaN for empty input.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the maximum, NaN for empty input.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // BoxPlot summarizes a sample the way Figure 7 draws it: quartiles, median,
 // mean, and whiskers covering data within 3 box-heights of the box;
 // anything beyond is an outlier.
@@ -127,42 +99,6 @@ func NewCDF(xs []float64) CDF {
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
 	return CDF{X: s}
-}
-
-// At returns P(X <= x).
-func (c CDF) At(x float64) float64 {
-	if len(c.X) == 0 {
-		return math.NaN()
-	}
-	i := sort.SearchFloat64s(c.X, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(c.X))
-}
-
-// Quantile returns the value at cumulative probability p.
-func (c CDF) Quantile(p float64) float64 { return Percentile(c.X, p) }
-
-// Points samples the CDF at n evenly spaced probabilities, returning
-// (value, probability) rows for plotting or tabulation.
-func (c CDF) Points(n int) [][2]float64 {
-	if n < 2 || len(c.X) == 0 {
-		return nil
-	}
-	out := make([][2]float64, 0, n)
-	for i := 0; i < n; i++ {
-		p := float64(i) / float64(n-1)
-		out = append(out, [2]float64{c.Quantile(p), p})
-	}
-	return out
-}
-
-// Normalize divides every value by base, reproducing the paper's
-// "normalized against X" presentation.
-func Normalize(xs []float64, base float64) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = x / base
-	}
-	return out
 }
 
 // Table renders rows as an aligned plain-text table with a header.

@@ -28,13 +28,12 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
-func TestMeanMinMax(t *testing.T) {
-	xs := []float64{2, 8, 5}
-	if Mean(xs) != 5 || Min(xs) != 2 || Max(xs) != 8 {
-		t.Fatalf("mean/min/max = %v/%v/%v", Mean(xs), Min(xs), Max(xs))
+func TestMean(t *testing.T) {
+	if got := Mean([]float64{2, 8, 5}); got != 5 {
+		t.Fatalf("mean = %v, want 5", got)
 	}
-	if !math.IsNaN(Mean(nil)) || !math.IsNaN(Min(nil)) || !math.IsNaN(Max(nil)) {
-		t.Fatal("empty stats not NaN")
+	if !math.IsNaN(Mean(nil)) {
+		t.Fatal("mean of nothing not NaN")
 	}
 }
 
@@ -61,34 +60,17 @@ func TestBoxPlot(t *testing.T) {
 }
 
 func TestCDF(t *testing.T) {
-	c := NewCDF([]float64{1, 2, 3, 4})
-	if got := c.At(2); got != 0.5 {
-		t.Fatalf("At(2) = %v, want 0.5", got)
-	}
-	if got := c.At(0); got != 0 {
-		t.Fatalf("At(0) = %v", got)
-	}
-	if got := c.At(10); got != 1 {
-		t.Fatalf("At(10) = %v", got)
+	c := NewCDF([]float64{4, 1, 3, 2})
+	if got := c.Quantile(0); got != 1 {
+		t.Fatalf("Quantile(0) = %v", got)
 	}
 	if got := c.Quantile(1); got != 4 {
 		t.Fatalf("Quantile(1) = %v", got)
 	}
-	pts := c.Points(5)
-	if len(pts) != 5 || pts[0][1] != 0 || pts[4][1] != 1 {
-		t.Fatalf("Points = %v", pts)
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i][0] < pts[i-1][0] {
-			t.Fatal("CDF points not monotone")
+	for i := 1; i <= 4; i++ {
+		if p := float64(i) / 4; c.Quantile(p) < c.Quantile(p-0.25) {
+			t.Fatal("CDF quantiles not monotone")
 		}
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	got := Normalize([]float64{2, 4}, 2)
-	if got[0] != 1 || got[1] != 2 {
-		t.Fatalf("Normalize = %v", got)
 	}
 }
 
@@ -135,3 +117,6 @@ func TestPercentileProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Quantile returns the value at cumulative probability p.
+func (c CDF) Quantile(p float64) float64 { return Percentile(c.X, p) }

@@ -9,7 +9,6 @@ package ocs
 
 import (
 	"fmt"
-	"sort"
 
 	"flattree/internal/core"
 )
@@ -36,9 +35,6 @@ func New(ports int) (*Switch, error) {
 	}
 	return s, nil
 }
-
-// Ports returns the port count.
-func (s *Switch) Ports() int { return s.ports }
 
 // Allocate reserves a partition of physical ports for one converter and
 // returns the logical-to-physical port map. Converter indices must be
@@ -75,9 +71,6 @@ func (s *Switch) AllocateNetwork(nw *core.Network) error {
 	}
 	return nil
 }
-
-// FreePorts returns the number of unallocated physical ports.
-func (s *Switch) FreePorts() int { return s.ports - s.nextFree }
 
 // Program compiles the converters' configurations into the physical
 // cross-connect set, replacing the previous program, and returns how many
@@ -117,38 +110,6 @@ func (s *Switch) Program(convs []core.Converter) (changed int, err error) {
 	changed /= 2
 	copy(s.mate, want)
 	return changed, nil
-}
-
-// Circuits returns the current physical circuits as sorted port pairs.
-func (s *Switch) Circuits() [][2]int {
-	var out [][2]int
-	for p, q := range s.mate {
-		if q > p {
-			out = append(out, [2]int{p, q})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
-	return out
-}
-
-// Validate checks the matching invariant: mate is an involution with no
-// fixed points among connected ports.
-func (s *Switch) Validate() error {
-	for p, q := range s.mate {
-		if q == -1 {
-			continue
-		}
-		if q < 0 || q >= s.ports {
-			return fmt.Errorf("ocs: port %d mated out of range (%d)", p, q)
-		}
-		if q == p {
-			return fmt.Errorf("ocs: port %d mated to itself", p)
-		}
-		if s.mate[q] != p {
-			return fmt.Errorf("ocs: ports %d and %d disagree", p, q)
-		}
-	}
-	return nil
 }
 
 // TestbedOCS returns the Figure 9 device: a 192-port OCS with the example

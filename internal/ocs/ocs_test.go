@@ -1,6 +1,8 @@
 package ocs
 
 import (
+	"fmt"
+	"sort"
 	"testing"
 
 	"flattree/internal/core"
@@ -124,4 +126,42 @@ func TestCircuitsDisjointAcrossPartitions(t *testing.T) {
 			seen[p] = true
 		}
 	}
+}
+
+// Ports returns the port count.
+func (s *Switch) Ports() int { return s.ports }
+
+// FreePorts returns the number of unallocated physical ports.
+func (s *Switch) FreePorts() int { return s.ports - s.nextFree }
+
+// Circuits returns the current physical circuits as sorted port pairs.
+func (s *Switch) Circuits() [][2]int {
+	var out [][2]int
+	for p, q := range s.mate {
+		if q > p {
+			out = append(out, [2]int{p, q})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
+	return out
+}
+
+// Validate checks the matching invariant: mate is an involution with no
+// fixed points among connected ports.
+func (s *Switch) Validate() error {
+	for p, q := range s.mate {
+		if q == -1 {
+			continue
+		}
+		if q < 0 || q >= s.ports {
+			return fmt.Errorf("ocs: port %d mated out of range (%d)", p, q)
+		}
+		if q == p {
+			return fmt.Errorf("ocs: port %d mated to itself", p)
+		}
+		if s.mate[q] != p {
+			return fmt.Errorf("ocs: ports %d and %d disagree", p, q)
+		}
+	}
+	return nil
 }

@@ -117,22 +117,6 @@ func (c *Cache) Peek(key string) (interface{}, bool) {
 	}
 }
 
-// Len returns the number of cached (including in-flight) entries.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
-// Purge drops every entry (test hook; in-flight computations finish but
-// are no longer findable).
-func (c *Cache) Purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries = map[string]*list.Element{}
-	c.lru.Init()
-}
-
 // evictLocked drops least-recently-used entries beyond the capacity and
 // returns their keys for the eviction hook. Evicting an in-flight entry
 // is safe: its waiters hold the entry pointer and still receive the

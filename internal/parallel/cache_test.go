@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"container/list"
 	"errors"
 	"fmt"
 	"sync"
@@ -185,4 +186,20 @@ func slicesEqual(a, b []string) bool {
 		}
 	}
 	return true
+}
+
+// Len returns the number of cached (including in-flight) entries.
+func (c *Cache) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.entries)
+}
+
+// Purge drops every entry (test hook; in-flight computations finish but
+// are no longer findable).
+func (c *Cache) Purge() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.entries = map[string]*list.Element{}
+	c.lru.Init()
 }

@@ -146,9 +146,6 @@ func Map[T any](p *Pool, n int, fn func(i int) (T, error)) ([]T, error) {
 	return out, nil
 }
 
-// ForEach runs fn on the default pool.
-func ForEach(n int, fn func(i int)) { Default().ForEach(n, fn) }
-
 // run is the batch engine. Tasks are claimed from an atomic counter in
 // ascending index order; a recorded failure at index f suppresses tasks
 // with larger indexes (they can only be claimed after f was), so the

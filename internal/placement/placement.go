@@ -31,11 +31,6 @@ type Zone struct {
 	Pods []int
 }
 
-// Capacity returns the zone's server capacity for the layout.
-func (z Zone) Capacity(p topo.ClosParams) int {
-	return len(z.Pods) * p.EdgesPerPod * p.ServersPerEdge
-}
-
 // Assignment places one tenant onto concrete server indices.
 type Assignment struct {
 	Tenant  Tenant
@@ -219,14 +214,4 @@ func (pl *Plan) PodModes() []core.Mode {
 		}
 	}
 	return modes
-}
-
-// ZoneOf returns the zone index hosting a tenant, or -1.
-func (pl *Plan) ZoneOf(name string) int {
-	for _, a := range pl.Assignments {
-		if a.Tenant.Name == name {
-			return a.Zone
-		}
-	}
-	return -1
 }

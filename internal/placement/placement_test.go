@@ -103,8 +103,13 @@ func TestPlaceAppliesToNetwork(t *testing.T) {
 	if err := r.Topo.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if plan.ZoneOf("a") < 0 || plan.ZoneOf("b") < 0 || plan.ZoneOf("nope") != -1 {
-		t.Fatal("ZoneOf lookup wrong")
+	if len(plan.Assignments) != 2 {
+		t.Fatalf("%d assignments, want 2", len(plan.Assignments))
+	}
+	for _, a := range plan.Assignments {
+		if a.Zone < 0 || a.Zone >= len(plan.Zones) {
+			t.Fatalf("tenant %s in zone %d of %d", a.Tenant.Name, a.Zone, len(plan.Zones))
+		}
 	}
 }
 

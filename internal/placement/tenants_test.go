@@ -11,7 +11,8 @@ import (
 // 1487 VMs" [15, 49]. Sizes follow a log-normal whose mean matches 79 and
 // whose upper tail puts the maximum of a ~1500-tenant population near
 // 1487 — heavy-tailed, mostly-small tenants with rare giants, the shape
-// that motivates convertibility.
+// that motivates convertibility. No binary samples tenants, so the
+// sampler lives beside the tests that check it against those figures.
 
 // TenantSizeMean and TenantSizeSigma are the log-normal parameters:
 // exp(mu + sigma^2/2) = 79.

@@ -121,6 +121,8 @@ type Journal struct {
 // DecodeJournal parses a journal written by WriteJournal. The first
 // line must be the header; every subsequent line must parse. Lines
 // retain file order, so re-encoding reproduces the input.
+//
+//flatvet:testonly flatd's durable journal (ROADMAP) decodes its journal at boot
 func DecodeJournal(data []byte) (*Journal, error) {
 	sc := bufio.NewScanner(bytes.NewReader(data))
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
@@ -154,22 +156,9 @@ func DecodeJournal(data []byte) (*Journal, error) {
 	return j, nil
 }
 
-// Encode re-renders a decoded journal in canonical form; for a journal
-// produced by WriteJournal this reproduces the original bytes.
-func (j *Journal) Encode() ([]byte, error) {
-	var buf bytes.Buffer
-	for _, l := range j.Lines {
-		b, err := EncodeLine(l)
-		if err != nil {
-			return nil, err
-		}
-		buf.Write(b)
-		buf.WriteByte('\n')
-	}
-	return buf.Bytes(), nil
-}
-
 // Events returns the journal's event lines (Kind != "") in file order.
+//
+//flatvet:testonly flatd's boot replay (ROADMAP) folds these events into its route table
 func (j *Journal) Events() []JournalLine {
 	var out []JournalLine
 	for _, l := range j.Lines {

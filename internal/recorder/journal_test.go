@@ -131,3 +131,18 @@ func TestDecodeJournalSkipsBlankLines(t *testing.T) {
 		t.Fatal("blank-line padding changed the decoded journal")
 	}
 }
+
+// Encode re-renders a decoded journal in canonical form; for a journal
+// produced by WriteJournal this reproduces the original bytes.
+func (j *Journal) Encode() ([]byte, error) {
+	var buf bytes.Buffer
+	for _, l := range j.Lines {
+		b, err := EncodeLine(l)
+		if err != nil {
+			return nil, err
+		}
+		buf.Write(b)
+		buf.WriteByte('\n')
+	}
+	return buf.Bytes(), nil
+}

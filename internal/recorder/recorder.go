@@ -92,17 +92,6 @@ func (k Kind) String() string {
 	return ""
 }
 
-// KindFromString resolves a journal spelling back to its Kind (0, false
-// for an unknown spelling).
-func KindFromString(s string) (Kind, bool) {
-	for k, n := range kindNames {
-		if n != "" && n == s {
-			return Kind(k), true
-		}
-	}
-	return 0, false
-}
-
 // Event is one recorded occurrence. The payload fields are generic so
 // an Event is a fixed-size value — emitting one allocates nothing:
 //
@@ -159,34 +148,6 @@ func (t *Track) emit(ev Event) {
 	}
 	t.total++
 	t.mu.Unlock()
-}
-
-// Name returns the track's name ("" for a nil Track).
-func (t *Track) Name() string {
-	if t == nil {
-		return ""
-	}
-	return t.name
-}
-
-// Len returns the number of retained events (0 for a nil Track).
-func (t *Track) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.buf)
-}
-
-// Dropped returns how many events the ring overwrote (0 for nil).
-func (t *Track) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total - uint64(len(t.buf))
 }
 
 // snapshot copies the retained events oldest-first and reports the
@@ -325,15 +286,6 @@ func (r *Recorder) Snapshot() []TrackSnapshot {
 	return out
 }
 
-// Dropped sums the drop counters over all tracks.
-func (r *Recorder) Dropped() uint64 {
-	var n uint64
-	for _, s := range r.Snapshot() {
-		n += s.Dropped()
-	}
-	return n
-}
-
 // global is the process-wide recorder; nil means recording is disabled
 // and every Track handle from the package-level accessors is a no-op.
 var global atomic.Pointer[Recorder]
@@ -349,6 +301,8 @@ func Enable(limit int) *Recorder {
 
 // Disable removes the global recorder; instrumented code reverts to the
 // nil-handle fast path.
+//
+//flatvet:testonly tests in other packages restore the disabled default through it; a _test.go file cannot serve them
 func Disable() { global.Store(nil) }
 
 // Default returns the global recorder, or nil when recording is

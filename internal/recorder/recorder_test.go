@@ -183,3 +183,51 @@ func BenchmarkEmitEnabled(b *testing.B) {
 		tr.Emit(ev)
 	}
 }
+
+// KindFromString resolves a journal spelling back to its Kind (0, false
+// for an unknown spelling).
+func KindFromString(s string) (Kind, bool) {
+	for k, n := range kindNames {
+		if n != "" && n == s {
+			return Kind(k), true
+		}
+	}
+	return 0, false
+}
+
+// Name returns the track's name ("" for a nil Track).
+func (t *Track) Name() string {
+	if t == nil {
+		return ""
+	}
+	return t.name
+}
+
+// Len returns the number of retained events (0 for a nil Track).
+func (t *Track) Len() int {
+	if t == nil {
+		return 0
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.buf)
+}
+
+// Dropped returns how many events the ring overwrote (0 for nil).
+func (t *Track) Dropped() uint64 {
+	if t == nil {
+		return 0
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.total - uint64(len(t.buf))
+}
+
+// Dropped sums the drop counters over all tracks.
+func (r *Recorder) Dropped() uint64 {
+	var n uint64
+	for _, s := range r.Snapshot() {
+		n += s.Dropped()
+	}
+	return n
+}

@@ -92,3 +92,27 @@ func BenchmarkRepairFullRebuild(b *testing.B) {
 		BuildKShortest(tp, 8)     // react to the repair
 	}
 }
+
+// benchSlots keeps BenchmarkServerSlots' last result live.
+var benchSlots [][]int
+
+// BenchmarkServerSlots takes the slot lists from 32 source servers to
+// every other server (4,064 calls per op) on mini-1's global-mode table at
+// k=8: the per-connection conversion behind fig8, fct_batch and every
+// multipath experiment.
+func BenchmarkServerSlots(b *testing.B) {
+	tp := mini1Topo(b, core.ModeGlobal)
+	tb := BuildKShortest(tp, 8)
+	servers := tp.Servers()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, src := range servers[:32] {
+			for _, dst := range servers {
+				if dst != src {
+					benchSlots = tb.ServerSlots(src, dst)
+				}
+			}
+		}
+	}
+}

@@ -20,7 +20,7 @@ import (
 // cache="route".
 
 var (
-	tableCache = parallel.NewCache("route", 64)
+	tableCache = newTableCache()
 
 	// tableMaxKMu guards tableMaxK: fingerprint -> largest k built so far,
 	// used to find a superset table to derive smaller-k views from. The
@@ -31,8 +31,11 @@ var (
 	tableMaxK   = map[string]int{}
 )
 
-func init() {
-	tableCache.OnEvict(func(key string) {
+// newTableCache returns an empty table cache whose eviction hook drops
+// the evicted table's tableMaxK record.
+func newTableCache() *parallel.Cache {
+	c := parallel.NewCache("route", 64)
+	c.OnEvict(func(key string) {
 		fp, k, ok := parseTableKey(key)
 		if !ok {
 			return
@@ -43,6 +46,7 @@ func init() {
 		}
 		tableMaxKMu.Unlock()
 	})
+	return c
 }
 
 func tableKey(fp string, k int) string { return fmt.Sprintf("%s|k=%d", fp, k) }
@@ -97,12 +101,4 @@ func BuildKShortestCached(t *topo.Topology, k int) *Table {
 		return tb, nil
 	})
 	return tb
-}
-
-// PurgeCache drops every cached route table (test hook).
-func PurgeCache() {
-	tableCache.Purge()
-	tableMaxKMu.Lock()
-	tableMaxK = map[string]int{}
-	tableMaxKMu.Unlock()
 }

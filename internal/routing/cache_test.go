@@ -143,3 +143,11 @@ func TestCachedTableStaleMaxKRepaired(t *testing.T) {
 		t.Fatalf("stale tableMaxK record = %d, want repaired to 3", rec)
 	}
 }
+
+// PurgeCache drops every cached route table.
+func PurgeCache() {
+	tableCache = newTableCache()
+	tableMaxKMu.Lock()
+	tableMaxK = map[string]int{}
+	tableMaxKMu.Unlock()
+}

@@ -87,9 +87,6 @@ type RuleDelta struct {
 	Adds, Dels map[int]int
 }
 
-// Empty reports whether the event changed no rules.
-func (d RuleDelta) Empty() bool { return len(d.Adds) == 0 && len(d.Dels) == 0 }
-
 // TotalAdds sums the added rules over all switches (sequential-controller
 // cost driver).
 func (d RuleDelta) TotalAdds() int { return sumValues(d.Adds) }

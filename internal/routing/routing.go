@@ -97,10 +97,16 @@ func (tb *Table) ingressRow(n int) (int, bool) {
 
 // ServerPaths expands switch-level paths to full server-to-server paths,
 // including the two server uplinks. Intra-switch pairs get the single
-// two-hop path through their shared switch.
+// two-hop path through their shared switch. It returns nil when either
+// node is not an attached server, as SwitchPaths does for a node that is
+// not an ingress switch.
 func (tb *Table) ServerPaths(srcServer, dstServer int) []graph.Path {
 	t := tb.topo
-	sSw, dSw := t.AttachedSwitch(srcServer), t.AttachedSwitch(dstServer)
+	sSw, sOK := t.Attachment(srcServer)
+	dSw, dOK := t.Attachment(dstServer)
+	if !sOK || !dOK {
+		return nil
+	}
 	sUp := serverUplink(t, srcServer)
 	dUp := serverUplink(t, dstServer)
 	if sSw == dSw {
@@ -131,13 +137,40 @@ func (tb *Table) ServerPaths(srcServer, dstServer int) []graph.Path {
 
 // ServerSlots returns ServerPaths' server-to-server paths as directed
 // capacity-slot lists on the table's graph (DirectedLinkIDs): a simulator
-// connection's path set. A caller that wants fewer paths narrows the
-// table with WithK.
+// connection's path set, nil when either node is not an attached server.
+// Each list is the source's uplink slot, its switch path's slots and the
+// destination's downlink slot, written into one exact-size backing array;
+// each list is capped, so a caller's append copies instead of overwriting
+// the next. A caller that wants fewer paths narrows the table with WithK.
 func (tb *Table) ServerSlots(srcServer, dstServer int) [][]int {
-	paths := tb.ServerPaths(srcServer, dstServer)
-	out := make([][]int, len(paths))
-	for i, p := range paths {
-		out[i] = DirectedLinkIDs(tb.topo.G, p)
+	t := tb.topo
+	sSw, sOK := t.Attachment(srcServer)
+	dSw, dOK := t.Attachment(dstServer)
+	if !sOK || !dOK {
+		return nil
+	}
+	g := t.G
+	up := slot(g, serverUplink(t, srcServer), srcServer)
+	down := slot(g, serverUplink(t, dstServer), dSw)
+	if sSw == dSw {
+		return [][]int{{up, down}}
+	}
+	swPaths := tb.SwitchPaths(sSw, dSw)
+	n := 0
+	for _, p := range swPaths {
+		n += len(p.Links) + 2
+	}
+	buf := make([]int, n)
+	out := make([][]int, len(swPaths))
+	for i, p := range swPaths {
+		s := buf[: len(p.Links)+2 : len(p.Links)+2]
+		buf = buf[len(s):]
+		s[0] = up
+		for j, id := range p.Links {
+			s[j+1] = slot(g, id, p.Nodes[j])
+		}
+		s[len(s)-1] = down
+		out[i] = s
 	}
 	return out
 }
@@ -177,10 +210,15 @@ func (tb *Table) EqualCostPaths(src, dst int) []graph.Path {
 // flow's header hash selects pseudo-randomly among the equal-cost shortest
 // switch paths (§5.2: "the next hop at each switch is determined
 // pseudo-randomly by header field hashing, so each TCP flow traverses only
-// one of the equal cost shortest paths").
+// one of the equal cost shortest paths"). It reports false when either
+// node is not an attached server or no switch path joins them.
 func (tb *Table) ECMPServerPath(srcServer, dstServer int, flowHash uint64) (graph.Path, bool) {
 	t := tb.topo
-	sSw, dSw := t.AttachedSwitch(srcServer), t.AttachedSwitch(dstServer)
+	sSw, sOK := t.Attachment(srcServer)
+	dSw, dOK := t.Attachment(dstServer)
+	if !sOK || !dOK {
+		return graph.Path{}, false
+	}
 	if sSw == dSw {
 		ps := tb.ServerPaths(srcServer, dstServer)
 		return ps[0], true
@@ -316,14 +354,17 @@ func (tb *Table) CountStates(portCount int) StateCount {
 func DirectedLinkIDs(g *graph.Graph, p graph.Path) []int {
 	out := make([]int, len(p.Links))
 	for i, id := range p.Links {
-		l := g.Link(id)
-		dir := 0
-		if p.Nodes[i] != l.A {
-			dir = 1
-		}
-		out[i] = 2*id + dir
+		out[i] = slot(g, id, p.Nodes[i])
 	}
 	return out
+}
+
+// slot is the directed capacity slot of link id leaving node from.
+func slot(g *graph.Graph, id, from int) int {
+	if from != g.Link(id).A {
+		return 2*id + 1
+	}
+	return 2 * id
 }
 
 // DirectedCaps expands per-link capacities into the directed slot array

@@ -43,7 +43,7 @@ func TestSwitchPathsAreValidAndOrdered(t *testing.T) {
 		}
 		last := 0
 		for _, p := range paths {
-			if !p.Valid(r.Topo.G) || !p.Loopless() {
+			if !validPath(r.Topo.G, p) || !loopless(p) {
 				t.Fatalf("pair %v: invalid path %v", pair, p.Nodes)
 			}
 			if p.Len() < last {
@@ -67,7 +67,7 @@ func TestServerPaths(t *testing.T) {
 		if p.Nodes[0] != src || p.Nodes[len(p.Nodes)-1] != dst {
 			t.Fatalf("endpoints wrong: %v", p.Nodes)
 		}
-		if !p.Valid(r.Topo.G) {
+		if !validPath(r.Topo.G, p) {
 			t.Fatalf("invalid server path %v", p.Nodes)
 		}
 	}
@@ -449,4 +449,34 @@ func TestEqualCostPathsTruncationSurfaced(t *testing.T) {
 	if ctr.Value() != before {
 		t.Fatal("complete equal-cost set incremented routing_ecmp_truncated_total")
 	}
+}
+
+// validPath reports whether p is a walk in g: one more node than links,
+// and each link joins the nodes on either side of it.
+func validPath(g *graph.Graph, p graph.Path) bool {
+	if len(p.Nodes) != len(p.Links)+1 {
+		return false
+	}
+	for i, id := range p.Links {
+		if id < 0 || id >= g.NumLinks() {
+			return false
+		}
+		l, a, b := g.Link(id), p.Nodes[i], p.Nodes[i+1]
+		if !(l.A == a && l.B == b) && !(l.A == b && l.B == a) {
+			return false
+		}
+	}
+	return true
+}
+
+// loopless reports whether p visits each node at most once.
+func loopless(p graph.Path) bool {
+	seen := make(map[int]bool, len(p.Nodes))
+	for _, n := range p.Nodes {
+		if seen[n] {
+			return false
+		}
+		seen[n] = true
+	}
+	return true
 }

@@ -67,12 +67,6 @@ func (ft *FlowTable) Install(r Rule) error {
 // Len returns the installed rule count.
 func (ft *FlowTable) Len() int { return len(ft.rules) }
 
-// Lookup matches a packet by its address prefixes.
-func (ft *FlowTable) Lookup(p Packet) (Action, bool) {
-	a, ok := ft.rules[[2]addressing.Address{p.Src.Prefix24(), p.Dst.Prefix24()}]
-	return a, ok
-}
-
 // Fabric is the compiled data plane: a flow table per switch.
 type Fabric struct {
 	t      *topo.Topology
@@ -157,9 +151,6 @@ func assignServerID(addrs []addressing.Address) int {
 	return addrs[0].ServerID()
 }
 
-// Table returns one switch's flow table.
-func (f *Fabric) Table(sw int) *FlowTable { return f.tables[sw] }
-
 // TotalRules sums rules across switches.
 func (f *Fabric) TotalRules() int {
 	total := 0
@@ -178,48 +169,6 @@ func (f *Fabric) MaxRules() int {
 		}
 	}
 	return max
-}
-
-// Forward walks a packet from the source server's switch through the flow
-// tables until delivery, returning the switch-level path. It errors on a
-// table miss or a loop.
-func (f *Fabric) Forward(p Packet) ([]int, error) {
-	srcServer, ok := f.serverByAddr[p.Src]
-	if !ok {
-		return nil, fmt.Errorf("sdn: unknown source address %v", p.Src)
-	}
-	dstServer, ok := f.serverByAddr[p.Dst]
-	if !ok {
-		return nil, fmt.Errorf("sdn: unknown destination address %v", p.Dst)
-	}
-	cur := f.t.AttachedSwitch(srcServer)
-	path := []int{cur}
-	for hops := 0; hops < 16; hops++ {
-		act, ok := f.tables[cur].Lookup(p)
-		if !ok {
-			return nil, fmt.Errorf("sdn: table miss at switch %d for %v->%v", cur, p.Src, p.Dst)
-		}
-		if act.Deliver {
-			if cur != f.t.AttachedSwitch(dstServer) {
-				return nil, fmt.Errorf("sdn: delivered at %d but server %d lives on %d",
-					cur, dstServer, f.t.AttachedSwitch(dstServer))
-			}
-			return path, nil
-		}
-		cur = f.t.G.Link(act.OutLink).Other(cur)
-		path = append(path, cur)
-	}
-	return nil, fmt.Errorf("sdn: forwarding loop for %v->%v", p.Src, p.Dst)
-}
-
-// SubflowPacket builds the packet for one routed subflow between two
-// servers.
-func (f *Fabric) SubflowPacket(srcServer, dstServer, subflow int) (Packet, error) {
-	subs := addressing.Subflows(f.assign.Addrs[srcServer], f.assign.Addrs[dstServer], f.k)
-	if subflow < 0 || subflow >= len(subs) {
-		return Packet{}, fmt.Errorf("sdn: subflow %d of %d", subflow, len(subs))
-	}
-	return Packet{Src: subs[subflow].Src, Dst: subs[subflow].Dst}, nil
 }
 
 // NaiveRuleCount computes the per-flow (no aggregation) state a switch

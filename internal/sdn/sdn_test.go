@@ -2,6 +2,7 @@ package sdn
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"flattree/internal/addressing"
@@ -191,4 +192,55 @@ func TestFlowTableBasics(t *testing.T) {
 	if _, ok := ft.Lookup(Packet{Src: a2, Dst: a1}); ok {
 		t.Fatal("reverse direction matched")
 	}
+}
+
+// Table returns one switch's flow table.
+func (f *Fabric) Table(sw int) *FlowTable { return f.tables[sw] }
+
+// Forward walks a packet from the source server's switch through the flow
+// tables until delivery, returning the switch-level path. It errors on a
+// table miss or a loop.
+func (f *Fabric) Forward(p Packet) ([]int, error) {
+	srcServer, ok := f.serverByAddr[p.Src]
+	if !ok {
+		return nil, fmt.Errorf("sdn: unknown source address %v", p.Src)
+	}
+	dstServer, ok := f.serverByAddr[p.Dst]
+	if !ok {
+		return nil, fmt.Errorf("sdn: unknown destination address %v", p.Dst)
+	}
+	cur := f.t.AttachedSwitch(srcServer)
+	path := []int{cur}
+	for hops := 0; hops < 16; hops++ {
+		act, ok := f.tables[cur].Lookup(p)
+		if !ok {
+			return nil, fmt.Errorf("sdn: table miss at switch %d for %v->%v", cur, p.Src, p.Dst)
+		}
+		if act.Deliver {
+			if cur != f.t.AttachedSwitch(dstServer) {
+				return nil, fmt.Errorf("sdn: delivered at %d but server %d lives on %d",
+					cur, dstServer, f.t.AttachedSwitch(dstServer))
+			}
+			return path, nil
+		}
+		cur = f.t.G.Link(act.OutLink).Other(cur)
+		path = append(path, cur)
+	}
+	return nil, fmt.Errorf("sdn: forwarding loop for %v->%v", p.Src, p.Dst)
+}
+
+// SubflowPacket builds the packet for one routed subflow between two
+// servers.
+func (f *Fabric) SubflowPacket(srcServer, dstServer, subflow int) (Packet, error) {
+	subs := addressing.Subflows(f.assign.Addrs[srcServer], f.assign.Addrs[dstServer], f.k)
+	if subflow < 0 || subflow >= len(subs) {
+		return Packet{}, fmt.Errorf("sdn: subflow %d of %d", subflow, len(subs))
+	}
+	return Packet{Src: subs[subflow].Src, Dst: subs[subflow].Dst}, nil
+}
+
+// Lookup matches a packet by its address prefixes.
+func (ft *FlowTable) Lookup(p Packet) (Action, bool) {
+	a, ok := ft.rules[[2]addressing.Address{p.Src.Prefix24(), p.Dst.Prefix24()}]
+	return a, ok
 }

@@ -35,27 +35,6 @@ type Bucket struct {
 	Count int64   `json:"count"`
 }
 
-// Quantile estimates the q-quantile (0 < q < 1) from the bucket counts by
-// attributing each bucket's mass to its upper bound — a conservative
-// log-scale estimate good to one half-decade.
-func (h HistogramSnapshot) Quantile(q float64) float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	rank := int64(math.Ceil(q * float64(h.Count)))
-	if rank < 1 {
-		rank = 1
-	}
-	var seen int64
-	for _, b := range h.Buckets {
-		seen += b.Count
-		if seen >= rank {
-			return b.Le
-		}
-	}
-	return math.Inf(1)
-}
-
 // SpanSnapshot is one span of the trace tree.
 type SpanSnapshot struct {
 	Name string `json:"name"`
@@ -66,21 +45,6 @@ type SpanSnapshot struct {
 	Modeled         bool                   `json:"modeled,omitempty"`
 	Attrs           map[string]interface{} `json:"attrs,omitempty"`
 	Children        []SpanSnapshot         `json:"children,omitempty"`
-}
-
-// Find returns the first child (depth-first, pre-order) with the given
-// name, or nil.
-func (s *SpanSnapshot) Find(name string) *SpanSnapshot {
-	for i := range s.Children {
-		c := &s.Children[i]
-		if c.Name == name {
-			return c
-		}
-		if found := c.Find(name); found != nil {
-			return found
-		}
-	}
-	return nil
 }
 
 // Snapshot copies the registry's current state. Only finished spans are

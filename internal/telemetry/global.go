@@ -16,6 +16,8 @@ func Enable() *Registry {
 
 // Disable removes the global registry; instrumented code reverts to the
 // nil-handle fast path.
+//
+//flatvet:testonly tests in other packages restore the disabled default through it; a _test.go file cannot serve them
 func Disable() { global.Store(nil) }
 
 // Default returns the global registry, or nil when telemetry is disabled.
@@ -26,6 +28,8 @@ func Default() *Registry { return global.Load() }
 func C(name string, labels ...string) *Counter { return Default().Counter(name, labels...) }
 
 // G returns the named gauge from the global registry (nil when disabled).
+//
+//flatvet:testonly flatd's epoch gauge (ROADMAP, causal timeline) is its first production user
 func G(name string, labels ...string) *Gauge { return Default().Gauge(name, labels...) }
 
 // H returns the named histogram from the global registry (nil when

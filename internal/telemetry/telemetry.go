@@ -59,24 +59,13 @@ type Gauge struct {
 }
 
 // Set replaces the gauge value.
+//
+//flatvet:testonly flatd's epoch gauge (ROADMAP, causal timeline) is its first production user
 func (g *Gauge) Set(v float64) {
 	if g == nil {
 		return
 	}
 	g.bits.Store(math.Float64bits(v))
-}
-
-// Add shifts the gauge by d.
-func (g *Gauge) Add(d float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
-			return
-		}
-	}
 }
 
 // Value returns the current gauge value (0 for a nil Gauge).

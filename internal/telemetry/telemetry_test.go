@@ -229,3 +229,16 @@ func TestPrometheusExposition(t *testing.T) {
 		prev = n
 	}
 }
+
+// Add shifts the gauge by d.
+func (g *Gauge) Add(d float64) {
+	if g == nil {
+		return
+	}
+	for {
+		old := g.bits.Load()
+		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
+			return
+		}
+	}
+}

@@ -56,11 +56,13 @@ func TestConversionPhaseSpans(t *testing.T) {
 	// Durations must reproduce the delay model exactly.
 	model := control.TestbedDelayModel()
 	phase := func(name string) *telemetry.SpanSnapshot {
-		p := conv.Find(name)
-		if p == nil {
-			t.Fatalf("phase %q missing", name)
+		for i := range conv.Children {
+			if conv.Children[i].Name == name {
+				return &conv.Children[i]
+			}
 		}
-		return p
+		t.Fatalf("phase %q missing", name)
+		return nil
 	}
 	checks := []struct {
 		name string

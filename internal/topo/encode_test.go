@@ -2,6 +2,9 @@ package topo
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 )
@@ -75,4 +78,44 @@ func TestWriteDOT(t *testing.T) {
 	if got := strings.Count(out, " -- "); got != ft.G.NumLinks() {
 		t.Fatalf("edges = %d, want %d", got, ft.G.NumLinks())
 	}
+}
+
+// ReadJSON reconstructs a topology written by WriteJSON.
+func ReadJSON(r io.Reader) (*Topology, error) {
+	var jt jsonTopology
+	if err := json.NewDecoder(r).Decode(&jt); err != nil {
+		return nil, fmt.Errorf("topo: decoding: %w", err)
+	}
+	t := NewTopology(jt.Name)
+	t.SetNumPods(jt.Pods)
+	kinds := map[string]Kind{"server": Server, "edge": Edge, "agg": Agg, "core": Core}
+	type pending struct{ server, sw int }
+	var attachments []pending
+	for i, jn := range jt.Nodes {
+		k, ok := kinds[jn.Kind]
+		if !ok {
+			return nil, fmt.Errorf("topo: node %d has unknown kind %q", jn.ID, jn.Kind)
+		}
+		id := t.AddNode(k, jn.Pod)
+		if id != jn.ID || id != i {
+			return nil, fmt.Errorf("topo: node IDs must be dense and ordered (got %d at %d)", jn.ID, i)
+		}
+		t.Nodes[id].LocalIndex = jn.LocalIndex
+		if k == Server {
+			attachments = append(attachments, pending{server: id, sw: jn.AttachedTo})
+		}
+	}
+	for _, l := range jt.Links {
+		if l.A < 0 || l.A >= len(t.Nodes) || l.B < 0 || l.B >= len(t.Nodes) {
+			return nil, fmt.Errorf("topo: link %d-%d out of range", l.A, l.B)
+		}
+		t.G.AddLink(l.A, l.B, l.Capacity)
+	}
+	for _, a := range attachments {
+		if a.sw < 0 || a.sw >= len(t.Nodes) {
+			return nil, fmt.Errorf("topo: server %d attached to missing switch %d", a.server, a.sw)
+		}
+		t.AttachServer(a.server, a.sw)
+	}
+	return t, nil
 }

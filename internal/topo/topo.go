@@ -152,29 +152,25 @@ func (t *Topology) NumPods() int { return t.pods }
 // SetNumPods records the pod count.
 func (t *Topology) SetNumPods(p int) { t.pods = p }
 
-// AttachedSwitch returns the switch a server is wired to.
+// AttachedSwitch returns the switch a server is wired to. It panics for a
+// node that is not an attached server.
 func (t *Topology) AttachedSwitch(server int) int {
-	if server < 0 || server >= len(t.attach) || t.attach[server] < 0 {
+	sw, ok := t.Attachment(server)
+	if !ok {
 		panic(fmt.Sprintf("topo: server %d has no attachment", server))
 	}
-	return t.attach[server]
+	return sw
 }
 
-// ServersOn returns the servers attached to switch sw, in server-index order.
-func (t *Topology) ServersOn(sw int) []int {
-	var out []int
-	for _, s := range t.servers {
-		if t.attach[s] == sw {
-			out = append(out, s)
-		}
+// Attachment returns the switch node is wired to, and false when node is
+// not an attached server: a switch, an unattached server, or an ID
+// outside the topology.
+func (t *Topology) Attachment(node int) (sw int, ok bool) {
+	if node < 0 || node >= len(t.attach) || t.attach[node] < 0 {
+		return -1, false
 	}
-	return out
+	return t.attach[node], true
 }
-
-// PodOf returns the pod of a server, defined as the pod of its attached
-// switch; -1 when the switch is a core switch or the topology is
-// unstructured.
-func (t *Topology) PodOf(server int) int { return t.Nodes[t.AttachedSwitch(server)].Pod }
 
 // Validate checks structural invariants: every server has exactly one link
 // (its uplink), the graph is connected, and node bookkeeping is consistent.
@@ -196,14 +192,4 @@ func (t *Topology) Validate() error {
 		}
 	}
 	return nil
-}
-
-// SwitchDegrees returns, for each switch ID, its total link degree
-// (including server links). Useful for port-budget assertions.
-func (t *Topology) SwitchDegrees() map[int]int {
-	out := make(map[int]int)
-	for _, sw := range t.Switches() {
-		out[sw] = t.G.Degree(sw)
-	}
-	return out
 }

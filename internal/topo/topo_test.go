@@ -151,7 +151,7 @@ func TestServerAttachment(t *testing.T) {
 		if ft.Nodes[sw].Kind != Edge {
 			t.Fatalf("server %d attached to %v", s, ft.Nodes[sw].Kind)
 		}
-		if ft.PodOf(s) != ft.Nodes[sw].Pod {
+		if ft.Nodes[s].Pod != ft.Nodes[sw].Pod {
 			t.Fatalf("pod mismatch for server %d", s)
 		}
 	}
@@ -322,4 +322,25 @@ func TestFatTreeProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// ServersOn returns the servers attached to switch sw, in server-index order.
+func (t *Topology) ServersOn(sw int) []int {
+	var out []int
+	for _, s := range t.servers {
+		if t.attach[s] == sw {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// SwitchDegrees returns, for each switch ID, its total link degree
+// (including server links). Useful for port-budget assertions.
+func (t *Topology) SwitchDegrees() map[int]int {
+	out := make(map[int]int)
+	for _, sw := range t.Switches() {
+		out[sw] = t.G.Degree(sw)
+	}
+	return out
 }

@@ -66,13 +66,3 @@ func Hadoop1Trace(servers, serversPerRack, coflows int, baseGbit float64, durati
 		flows = append(flows, f)
 	}
 }
-
-// VolumeByLocality sums trace volume per locality class; used to verify
-// generated traces match the published mixes.
-func VolumeByLocality(spec TraceSpec, flows []Flow) map[Locality]float64 {
-	out := make(map[Locality]float64)
-	for _, f := range flows {
-		out[spec.LocalityOf(Pair{Src: f.Src, Dst: f.Dst})] += f.Bits
-	}
-	return out
-}

@@ -288,16 +288,3 @@ func drawDst(rng *rand.Rand, s TraceSpec, src, perPod, pods int) int {
 		}
 	}
 }
-
-// LocalityOf classifies a pair under the spec's shape.
-func (s TraceSpec) LocalityOf(p Pair) Locality {
-	perPod := s.ServersPerRack * s.RacksPerPod
-	switch {
-	case p.Src/s.ServersPerRack == p.Dst/s.ServersPerRack:
-		return IntraRack
-	case p.Src/perPod == p.Dst/perPod:
-		return IntraPod
-	default:
-		return InterPod
-	}
-}
