@@ -17,7 +17,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"sort"
 	"strings"
@@ -78,55 +77,18 @@ func main() {
 	snap := reg.Snapshot()
 	fmt.Println(summarize(snap, order))
 	if *telemOut != "" {
-		if err := writeSnapshot(snap, *telemOut); err != nil {
+		if err := recorder.WriteFile(*telemOut, snap.WriteJSON); err != nil {
 			fmt.Fprintf(os.Stderr, "benchtables: telemetry snapshot: %v\n", err)
 			failures++
 		}
 	}
-	if err := writeRecord(rec, snap, *record, *runinfo, *seed, *workers); err != nil {
+	if err := recorder.WriteRecord("benchtables", rec, snap, *record, *runinfo, *seed, *workers); err != nil {
 		fmt.Fprintf(os.Stderr, "benchtables: %v\n", err)
 		failures++
 	}
 	if failures > 0 {
 		os.Exit(1)
 	}
-}
-
-// writeRecord exports the flight-recorder trace and journal (when -record
-// gave a base path) and the run's provenance manifest.
-func writeRecord(rec *recorder.Recorder, snap *telemetry.Snapshot, base, runinfoDst string, seed int64, workers int) error {
-	if base != "" {
-		if err := writeFile(base+".trace.json", func(w io.Writer) error { return recorder.WriteTrace(w, rec, snap) }); err != nil {
-			return fmt.Errorf("trace export: %w", err)
-		}
-		if err := writeFile(base+".jsonl", func(w io.Writer) error { return recorder.WriteJournal(w, rec) }); err != nil {
-			return fmt.Errorf("journal export: %w", err)
-		}
-		runinfoDst = base + ".runinfo.json"
-	}
-	if runinfoDst == "" {
-		return nil
-	}
-	ri := recorder.CollectRunInfo("benchtables", seed, workers, recorder.FlagMap(flag.CommandLine), rec, snap)
-	if err := writeFile(runinfoDst, ri.WriteJSON); err != nil {
-		return fmt.Errorf("runinfo manifest: %w", err)
-	}
-	return nil
-}
-
-func writeFile(dst string, write func(w io.Writer) error) error {
-	if dst == "-" {
-		return write(os.Stdout)
-	}
-	f, err := os.Create(dst)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // summarize renders the run's telemetry: per-experiment wall time from the
@@ -176,19 +138,4 @@ func countSpans(spans []telemetry.SpanSnapshot, name string) int {
 		n += countSpans(s.Children, name)
 	}
 	return n
-}
-
-func writeSnapshot(snap *telemetry.Snapshot, dst string) error {
-	if dst == "-" {
-		return snap.WriteJSON(os.Stdout)
-	}
-	f, err := os.Create(dst)
-	if err != nil {
-		return err
-	}
-	if err := snap.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -4,12 +4,17 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"flattree/internal/experiments"
+	"flattree/internal/parallel"
+	"flattree/internal/telemetry"
 )
 
 // TestMain runs benchtables' main instead of the tests when the
@@ -95,5 +100,41 @@ func TestBadFlagsRejected(t *testing.T) {
 				t.Fatalf("benchtables %v wrote a provenance manifest (stat: %v)", args, err)
 			}
 		})
+	}
+}
+
+// TestSummarizeConversionsWorkerInvariant runs the experiments that
+// convert the emulated testbed at one and at eight workers and requires
+// summarize's per-experiment conversions column to match. Wall times
+// depend on the machine and are left out.
+func TestSummarizeConversionsWorkerInvariant(t *testing.T) {
+	names := []string{"fig10", "table3", "fig11", "rules", "ablation-gradual", "ablation-packet", "ablation-packet-fct"}
+	column := func(workers int) string {
+		parallel.SetDefaultWorkers(workers)
+		defer parallel.SetDefaultWorkers(0)
+		reg := telemetry.Enable()
+		defer telemetry.Disable()
+		for _, oc := range experiments.RunAll(names, experiments.Config{Seed: 1, Epsilon: 0.25}) {
+			if oc.Err != nil {
+				t.Fatalf("workers=%d: %s: %v", workers, oc.Name, oc.Err)
+			}
+		}
+		// The wall-time table follows its heading, a header row and a
+		// rule row; each data row is experiment, wall time, conversions.
+		table, _, _ := strings.Cut(summarize(reg.Snapshot(), names), "\n== telemetry: event counters ==")
+		rows := strings.Split(strings.TrimSpace(table), "\n")[3:]
+		var out strings.Builder
+		for _, row := range rows {
+			f := strings.Fields(row)
+			fmt.Fprintf(&out, "%s %s\n", f[0], f[len(f)-1])
+		}
+		return out.String()
+	}
+	serial, wide := column(1), column(8)
+	if serial != wide {
+		t.Fatalf("conversions column differs:\n--- workers=1 ---\n%s--- workers=8 ---\n%s", serial, wide)
+	}
+	if got := strings.Count(serial, "\n"); got != len(names) {
+		t.Fatalf("summary has %d experiment rows, want %d:\n%s", got, len(names), serial)
 	}
 }

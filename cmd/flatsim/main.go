@@ -20,7 +20,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"sort"
 	"strings"
@@ -147,7 +146,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "flatsim: %v\n", err)
 		os.Exit(1)
 	}
-	if err := writeRecord("flatsim", rec, reg, *record, *runinfo, *seed, *workers); err != nil {
+	if err := recorder.WriteRecord("flatsim", rec, reg.Snapshot(), *record, *runinfo, *seed, *workers); err != nil {
 		fmt.Fprintf(os.Stderr, "flatsim: %v\n", err)
 		os.Exit(1)
 	}
@@ -176,31 +175,6 @@ func (f flowStats) any() bool { return f.stalls != 0 || f.reroutes != 0 || f.dis
 
 func (f flowStats) String() string {
 	return fmt.Sprintf("%d stalled, %d rerouted, %d disconnected", f.stalls, f.reroutes, f.disconnects)
-}
-
-// writeRecord exports the run's flight-recorder artifacts and provenance
-// manifest. With base set, the trace, journal, and manifest land at
-// <base>.trace.json / <base>.jsonl / <base>.runinfo.json; otherwise only
-// the manifest is written, to runinfoDst (empty disables).
-func writeRecord(tool string, rec *recorder.Recorder, reg *telemetry.Registry, base, runinfoDst string, seed int64, workers int) error {
-	snap := reg.Snapshot()
-	if base != "" {
-		if err := writeTo(base+".trace.json", func(w io.Writer) error { return recorder.WriteTrace(w, rec, snap) }); err != nil {
-			return fmt.Errorf("trace export: %w", err)
-		}
-		if err := writeTo(base+".jsonl", func(w io.Writer) error { return recorder.WriteJournal(w, rec) }); err != nil {
-			return fmt.Errorf("journal export: %w", err)
-		}
-		runinfoDst = base + ".runinfo.json"
-	}
-	if runinfoDst == "" {
-		return nil
-	}
-	ri := recorder.CollectRunInfo(tool, seed, workers, recorder.FlagMap(flag.CommandLine), rec, snap)
-	if err := writeTo(runinfoDst, ri.WriteJSON); err != nil {
-		return fmt.Errorf("runinfo manifest: %w", err)
-	}
-	return nil
 }
 
 // resolveExperiments expands and validates the -exp argument against the
@@ -242,29 +216,14 @@ func writeTelemetry(reg *telemetry.Registry, jsonOut, promOut string) error {
 		return nil
 	}
 	if jsonOut != "" {
-		if err := writeTo(jsonOut, reg.WriteJSON); err != nil {
+		if err := recorder.WriteFile(jsonOut, reg.WriteJSON); err != nil {
 			return fmt.Errorf("telemetry snapshot: %w", err)
 		}
 	}
 	if promOut != "" {
-		if err := writeTo(promOut, reg.WritePrometheus); err != nil {
+		if err := recorder.WriteFile(promOut, reg.WritePrometheus); err != nil {
 			return fmt.Errorf("prometheus export: %w", err)
 		}
 	}
 	return nil
-}
-
-func writeTo(dst string, write func(w io.Writer) error) error {
-	if dst == "-" {
-		return write(os.Stdout)
-	}
-	f, err := os.Create(dst)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

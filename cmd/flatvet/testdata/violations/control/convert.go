@@ -5,17 +5,17 @@ import "violations/telemetry"
 
 // Convert discards the span outright: spanend fires.
 func Convert() {
-	telemetry.StartSpan("convert")
+	telemetry.StartRootSpan("convert")
 }
 
-// Apply binds the span but never ends it: spanend fires.
-func Apply() {
-	span := telemetry.StartRootSpan("apply")
+// Apply binds a child span but never ends it: spanend fires.
+func Apply(parent *telemetry.Span) {
+	span := parent.Child("apply")
 	span.SetAttr("phase", "rules")
 }
 
 // Good is the correct shape and must stay silent.
-func Good() {
-	span := telemetry.StartSpan("good")
+func Good(parent *telemetry.Span) {
+	span := parent.Child("good")
 	defer span.End()
 }

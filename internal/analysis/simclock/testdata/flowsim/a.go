@@ -23,7 +23,7 @@ func DirectTelemetry() {
 
 // SpanSince feeds a method on a telemetry type: allowed.
 func SpanSince(start time.Time) {
-	s := telemetry.StartSpan("phase")
+	s := telemetry.StartRootSpan("phase")
 	defer s.End()
 	s.ObserveSince(start)
 }

@@ -1,9 +1,10 @@
 // Package spanend flags telemetry spans that are started but never
 // ended.
 //
-// A StartSpan/StartRootSpan result whose End is never called leaves the
-// span open forever: child spans attach to a phase that never closes
-// and exported durations are garbage. The analyzer reports a start call
+// A span from StartRootSpan or a parent's Child whose End is never
+// called stays open forever: a root never reaches the export, a child
+// keeps a zero duration, and the spans below it hang off a phase that
+// never closes. The analyzer reports a start call
 // when (a) its result is discarded outright, or (b) the variable it is
 // assigned to neither has .End invoked nor escapes the function (as an
 // argument, return value, struct field, or reassignment) anywhere in
@@ -23,14 +24,17 @@ import (
 	"flattree/internal/analysis"
 )
 
-var startFuncs = map[string]bool{"StartSpan": true, "StartRootSpan": true}
+// startFuncs are the telemetry span constructors: the root constructor
+// (package function or Registry method) and the Span method that opens a
+// timed child. Record returns an ended span, so it is not one.
+var startFuncs = map[string]bool{"StartRootSpan": true, "Child": true}
 
 var Analyzer = &analysis.Analyzer{
 	Name:      "spanend",
-	Doc:       "flags telemetry StartSpan/StartRootSpan results that are discarded or never reach End in the enclosing function",
+	Doc:       "flags telemetry StartRootSpan/Child results that are discarded or never reach End in the enclosing function",
 	Directive: "span",
 	Scope: func(importPath string) bool {
-		// The telemetry package itself implements Start*/End.
+		// The telemetry package itself implements the constructors and End.
 		return analysis.LastSegment(importPath) != "telemetry"
 	},
 	Run: run,

@@ -4,7 +4,7 @@ import "scope/telemetry"
 
 // DeferEnd is the canonical correct shape: allowed.
 func DeferEnd() {
-	span := telemetry.StartSpan("convert")
+	span := telemetry.StartRootSpan("convert")
 	defer span.End()
 	work()
 }
@@ -18,7 +18,7 @@ func ExplicitEnd() {
 
 // Discarded never binds the span: reported.
 func Discarded() {
-	telemetry.StartSpan("oops") // want `result of StartSpan discarded`
+	telemetry.StartRootSpan("oops") // want `result of StartRootSpan discarded`
 	work()
 }
 
@@ -30,41 +30,61 @@ func Blank() {
 
 // Leaked binds the span but never ends it: reported.
 func Leaked() {
-	span := telemetry.StartSpan("leak") // want `span from StartSpan never reaches End in this function`
+	span := telemetry.StartRootSpan("leak") // want `span from StartRootSpan never reaches End in this function`
 	span.SetAttr("k", "v")
 	work()
 }
 
 // MethodStart leaks a span started via a registry method: reported.
 func MethodStart(r *telemetry.Registry) {
-	span := r.StartSpan("leak") // want `span from StartSpan never reaches End in this function`
+	span := r.StartRootSpan("leak") // want `span from StartRootSpan never reaches End in this function`
 	work()
 	_ = span.Name
 }
 
+// ChildDeferEnd opens a timed child of its caller's span and ends it
+// on return: allowed.
+func ChildDeferEnd(parent *telemetry.Span) {
+	span := parent.Child("phase")
+	defer span.End()
+	work()
+}
+
+// ChildLeaked opens a child that never ends: reported.
+func ChildLeaked(parent *telemetry.Span) {
+	span := parent.Child("phase") // want `span from Child never reaches End in this function`
+	span.SetAttr("k", "v")
+	work()
+}
+
+// ChildDiscarded drops a child outright: reported.
+func ChildDiscarded(h *holder) {
+	h.s.Child("phase") // want `result of Child discarded`
+}
+
 // Escapes hands the span to a helper: that helper owns it, allowed.
 func Escapes() {
-	span := telemetry.StartSpan("handoff")
+	span := telemetry.StartRootSpan("handoff")
 	finish(span)
 }
 
 // Returned gives the span to the caller: allowed.
 func Returned() *telemetry.Span {
-	return telemetry.StartSpan("caller-owned")
+	return telemetry.StartRootSpan("caller-owned")
 }
 
 // Stored escapes into a struct: allowed (conservative).
 type holder struct{ s *telemetry.Span }
 
 func Stored(h *holder) {
-	span := telemetry.StartSpan("stored")
+	span := telemetry.StartRootSpan("stored")
 	h.s = span
 }
 
 // InClosure starts and ends within a function literal: allowed.
 func InClosure() func() {
 	return func() {
-		span := telemetry.StartSpan("inner")
+		span := telemetry.StartRootSpan("inner")
 		defer span.End()
 		work()
 	}
@@ -73,7 +93,7 @@ func InClosure() func() {
 // ClosureLeak leaks within the function literal: reported there.
 func ClosureLeak() func() {
 	return func() {
-		span := telemetry.StartSpan("inner-leak") // want `span from StartSpan never reaches End in this function`
+		span := telemetry.StartRootSpan("inner-leak") // want `span from StartRootSpan never reaches End in this function`
 		work()
 		span.SetAttr("k", "v")
 	}

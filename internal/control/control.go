@@ -125,6 +125,9 @@ type Controller struct {
 	// SetRecordClock).
 	rec      *recorder.Track
 	recClock float64
+	// span, when set, is the parent of each conversion span (see
+	// SetSpan).
+	span *telemetry.Span
 }
 
 // NewController initializes the controller in the network's current mode
@@ -248,10 +251,15 @@ func (c *Controller) Convert(mode core.Mode) (*ConversionReport, error) {
 
 // ConvertPods switches per-pod modes (hybrid operation) and returns the
 // delay breakdown. The conversion is performed: it is traced as a
-// conversion span with one modeled child per phase, recorded on the
+// conversion span with one modeled child per phase (a child of the
+// SetSpan parent, or a root without one), recorded on the
 // flight-recorder track, and counted.
 func (c *Controller) ConvertPods(modes []core.Mode) (*ConversionReport, error) {
-	sp := telemetry.StartSpan("conversion", telemetry.Str("to", modesLabel(modes)))
+	to := telemetry.Str("to", modesLabel(modes))
+	sp := c.span.Child("conversion", to)
+	if c.span == nil {
+		sp = telemetry.StartRootSpan("conversion", to)
+	}
 	defer sp.End()
 	rep, _, err := c.convert(modes)
 	if err != nil {
@@ -334,6 +342,11 @@ func (c *Controller) setModes(modes []core.Mode) error {
 	}
 	return nil
 }
+
+// SetSpan files each conversion's span as a child of parent, the span of
+// the run that drives the controller (an experiment's root). With a nil
+// parent each conversion span is a root.
+func (c *Controller) SetSpan(parent *telemetry.Span) { c.span = parent }
 
 // SetRecorder directs each conversion's phase breakdown onto a flight-
 // recorder track. Concurrent controllers must use distinct tracks; a nil

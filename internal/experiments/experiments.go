@@ -18,6 +18,7 @@ import (
 	"flattree/internal/mcf"
 	"flattree/internal/parallel"
 	"flattree/internal/routing"
+	"flattree/internal/telemetry"
 	"flattree/internal/topo"
 	"flattree/internal/traffic"
 )
@@ -36,6 +37,11 @@ type Config struct {
 	// streaming study (0 keeps the scale defaults: 5k reduced, 250k full).
 	// Set to 2_500_000 for the 10M-flow run across the four workloads.
 	FBMixFlows int
+
+	// span is the running experiment's root span, set by traced on the
+	// experiment's own copy; the controllers an experiment builds file
+	// their conversion spans under it.
+	span *telemetry.Span
 }
 
 func (c Config) epsilon() float64 {

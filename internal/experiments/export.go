@@ -89,23 +89,24 @@ func slug(s string) string {
 func RunWithCSV(name string, cfg Config, dir string) (Result, error) {
 	switch name {
 	case "fig8":
-		r, err := cfg.Fig8()
-		if err != nil {
-			return Result{}, err
-		}
-		if err := r.WriteCSV(dir); err != nil {
-			return Result{}, err
-		}
-		return Result{Name: name, Table: r.Render()}, nil
+		return traced(name, cfg, withCSV(Config.Fig8, dir))
 	case "fig10":
-		r, err := cfg.Fig10()
-		if err != nil {
-			return Result{}, err
-		}
-		if err := r.WriteCSV(dir); err != nil {
-			return Result{}, err
-		}
-		return Result{Name: name, Table: r.Render()}, nil
+		return traced(name, cfg, withCSV(Config.Fig10, dir))
 	}
 	return Run(name, cfg)
+}
+
+// withCSV adapts a figure's runner to render its table and write its
+// series into dir.
+func withCSV[R interface {
+	Render() string
+	WriteCSV(dir string) error
+}](run func(Config) (R, error), dir string) func(Config) (string, error) {
+	return func(c Config) (string, error) {
+		r, err := run(c)
+		if err != nil {
+			return "", err
+		}
+		return r.Render(), r.WriteCSV(dir)
+	}
 }

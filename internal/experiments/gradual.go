@@ -25,7 +25,7 @@ type GradualRow struct {
 func (c Config) AblationGradual() ([]GradualRow, error) {
 	var rows []GradualRow
 	for _, strategy := range []string{"atomic", "gradual (1 pod/step)"} {
-		tb, err := testbed.New()
+		tb, err := c.newTestbed()
 		if err != nil {
 			return nil, err
 		}

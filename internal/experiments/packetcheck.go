@@ -8,7 +8,6 @@ import (
 	"flattree/internal/metrics"
 	"flattree/internal/packetsim"
 	"flattree/internal/routing"
-	"flattree/internal/testbed"
 	"flattree/internal/topo"
 	"flattree/internal/traffic"
 )
@@ -40,7 +39,7 @@ const packetRateScale = 0.01
 // AblationPacket cross-validates flowsim against packetsim on the testbed
 // iPerf pattern for each uniform mode.
 func (c Config) AblationPacket() ([]PacketCheckRow, error) {
-	tb, err := testbed.New()
+	tb, err := c.newTestbed()
 	if err != nil {
 		return nil, err
 	}
@@ -117,7 +116,7 @@ type PacketFCTRow struct {
 // throughput). The packet replica runs at 1% rate with 1% flow sizes, so
 // FCTs match full scale directly.
 func (c Config) AblationPacketFCT() ([]PacketFCTRow, error) {
-	tb, err := testbed.New()
+	tb, err := c.newTestbed()
 	if err != nil {
 		return nil, err
 	}

@@ -253,17 +253,24 @@ var registry = map[string]func(Config) (string, error){
 	},
 }
 
-// Run executes a registered experiment by ID and returns the rendered
-// result. Every run is wrapped in a root telemetry span named
-// "experiment:<id>", so nested conversion and solver spans trace back to
-// the experiment that triggered them.
+// Run executes a registered experiment by ID inside its root telemetry
+// span (see traced) and returns the rendered result.
 func Run(name string, cfg Config) (Result, error) {
 	f, ok := registry[name]
 	if !ok {
 		return Result{}, fmt.Errorf("experiments: unknown experiment %q (have %v)", name, Names())
 	}
+	return traced(name, cfg, f)
+}
+
+// traced runs f as experiment name inside a root telemetry span named
+// "experiment:<name>". The span rides in f's copy of cfg, so the
+// experiment's conversion spans are its children whichever experiments
+// run beside it.
+func traced(name string, cfg Config, f func(Config) (string, error)) (Result, error) {
 	sp := telemetry.StartRootSpan("experiment:"+name, telemetry.Str("id", name))
 	defer sp.End()
+	cfg.span = sp
 	table, err := f(cfg)
 	if err != nil {
 		sp.SetAttr(telemetry.Str("error", err.Error()))

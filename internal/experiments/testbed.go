@@ -41,6 +41,17 @@ func (c Config) Fig5() (string, error) {
 	return t.String(), nil
 }
 
+// newTestbed builds the emulated testbed with its controller's conversion
+// spans filed under the experiment's root span.
+func (c Config) newTestbed() (*testbed.Testbed, error) {
+	tb, err := testbed.New()
+	if err != nil {
+		return nil, err
+	}
+	tb.Ctrl.SetSpan(c.span)
+	return tb, nil
+}
+
 // Fig10Result is the testbed iPerf experiment output.
 type Fig10Result struct {
 	Samples []testbed.Sample
@@ -53,7 +64,7 @@ type Fig10Result struct {
 // emulated testbed with conversions Clos -> global -> local -> Clos ->
 // global, sampled every 0.5 s.
 func (c Config) Fig10() (*Fig10Result, error) {
-	tb, err := testbed.New()
+	tb, err := c.newTestbed()
 	if err != nil {
 		return nil, err
 	}
@@ -69,7 +80,7 @@ func (c Config) Fig10() (*Fig10Result, error) {
 		return nil, err
 	}
 	res := &Fig10Result{Samples: samples, Events: events, Plateaus: map[core.Mode]float64{}}
-	tb2, err := testbed.New()
+	tb2, err := c.newTestbed()
 	if err != nil {
 		return nil, err
 	}
@@ -113,7 +124,7 @@ type Table3Row struct {
 // Table3 reproduces the conversion delay breakdown: starting from the
 // Figure 10 cycle, converting to global, local, and Clos in turn.
 func (c Config) Table3() ([]Table3Row, error) {
-	tb, err := testbed.New()
+	tb, err := c.newTestbed()
 	if err != nil {
 		return nil, err
 	}
@@ -156,7 +167,7 @@ type Fig11Result struct {
 // Fig11 reproduces §5.4: Word2Vec broadcast (torrent) and Tez Sort shuffle
 // on the emulated testbed under the three modes.
 func (c Config) Fig11() (*Fig11Result, error) {
-	tb, err := testbed.New()
+	tb, err := c.newTestbed()
 	if err != nil {
 		return nil, err
 	}
@@ -215,7 +226,7 @@ type RulesRow struct {
 // matching: 242/180/76 max rules per switch) and the source-routing
 // alternative of §4.2.2.
 func (c Config) Rules() (*RulesResult, error) {
-	tb, err := testbed.New()
+	tb, err := c.newTestbed()
 	if err != nil {
 		return nil, err
 	}

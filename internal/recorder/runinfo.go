@@ -7,6 +7,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"os"
 	"runtime"
 	"runtime/debug"
 	"sort"
@@ -73,6 +74,48 @@ func CollectRunInfo(tool string, seed int64, workers int, flags map[string]strin
 		}
 	}
 	return ri
+}
+
+// WriteRecord writes a run's artifacts for tool (the binary's name). With
+// base set, the flight-recorder trace, the journal and the provenance
+// manifest land at <base>.trace.json, <base>.jsonl and
+// <base>.runinfo.json; otherwise only the manifest is written, to
+// runinfoDst ("-" for stdout, empty disables). The manifest records the
+// process's command-line flags.
+func WriteRecord(tool string, r *Recorder, snap *telemetry.Snapshot, base, runinfoDst string, seed int64, workers int) error {
+	if base != "" {
+		if err := WriteFile(base+".trace.json", func(w io.Writer) error { return WriteTrace(w, r, snap) }); err != nil {
+			return fmt.Errorf("trace export: %w", err)
+		}
+		if err := WriteFile(base+".jsonl", func(w io.Writer) error { return WriteJournal(w, r) }); err != nil {
+			return fmt.Errorf("journal export: %w", err)
+		}
+		runinfoDst = base + ".runinfo.json"
+	}
+	if runinfoDst == "" {
+		return nil
+	}
+	ri := CollectRunInfo(tool, seed, workers, FlagMap(flag.CommandLine), r, snap)
+	if err := WriteFile(runinfoDst, ri.WriteJSON); err != nil {
+		return fmt.Errorf("runinfo manifest: %w", err)
+	}
+	return nil
+}
+
+// WriteFile creates dst and fills it with write; "-" writes to stdout.
+func WriteFile(dst string, write func(w io.Writer) error) error {
+	if dst == "-" {
+		return write(os.Stdout)
+	}
+	f, err := os.Create(dst)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // WriteJSON renders the manifest as indented JSON; map keys are sorted

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -103,5 +105,56 @@ func TestFlagMap(t *testing.T) {
 	}
 	if strings.Contains(strings.Join([]string{m["exp"], m["seed"]}, ","), "\n") {
 		t.Fatal("flag values must be single-line")
+	}
+}
+
+// TestWriteRecordFiles pins the artifact set: with a base, the trace, the
+// journal and the manifest land beside it and the manifest destination is
+// not used; without one only the manifest is written, and an empty
+// destination writes nothing.
+func TestWriteRecordFiles(t *testing.T) {
+	dir := t.TempDir()
+	r := populated()
+	base, unused := filepath.Join(dir, "run"), filepath.Join(dir, "unused.json")
+	if err := WriteRecord("flatsim", r, nil, base, unused, 7, 2); err != nil {
+		t.Fatal(err)
+	}
+	var journal bytes.Buffer
+	if err := WriteJournal(&journal, r); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(base + ".jsonl"); err != nil || !bytes.Equal(got, journal.Bytes()) {
+		t.Fatalf("journal file differs from WriteJournal (read error %v)", err)
+	}
+	if _, err := os.Stat(base + ".trace.json"); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(base + ".runinfo.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ri RunInfo
+	if err := json.Unmarshal(data, &ri); err != nil {
+		t.Fatal(err)
+	}
+	if ri.Tool != "flatsim" || ri.Seed != 7 || ri.Workers != 2 || ri.Tracks["churn/clos/engine"].Total != 7 {
+		t.Fatalf("manifest = %+v", ri)
+	}
+	if _, err := os.Stat(unused); !os.IsNotExist(err) {
+		t.Fatalf("manifest destination written beside a base (stat: %v)", err)
+	}
+
+	only := filepath.Join(dir, "only.json")
+	if err := WriteRecord("benchtables", nil, nil, "", only, 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(only); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteRecord("benchtables", nil, nil, "", "", 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 4 {
+		t.Fatalf("%d files in the run directory, want 4", len(entries))
 	}
 }

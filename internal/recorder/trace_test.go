@@ -112,7 +112,7 @@ func TestWriteTraceWindows(t *testing.T) {
 func TestWriteTraceTelemetrySpans(t *testing.T) {
 	reg := telemetry.Enable()
 	defer telemetry.Disable()
-	sp := telemetry.StartSpan("experiment:test")
+	sp := telemetry.StartRootSpan("experiment:test")
 	sp.Record("ocs", 0.17) // modeled: never elapsed on the wall clock
 	sp.End()
 	snap := reg.Snapshot()

@@ -69,12 +69,7 @@ func (ft *FlowTable) Len() int { return len(ft.rules) }
 
 // Fabric is the compiled data plane: a flow table per switch.
 type Fabric struct {
-	t      *topo.Topology
 	tables map[int]*FlowTable
-	assign *addressing.Assignment
-	k      int
-	// serverByAddr resolves a destination address to its server node.
-	serverByAddr map[addressing.Address]int
 }
 
 // Compile builds the prefix-matching data plane for a realized topology:
@@ -83,17 +78,9 @@ type Fabric struct {
 // a delivery rule at the egress switch. capacity bounds each switch's
 // table (0 = unbounded).
 func Compile(t *topo.Topology, table *routing.Table, assign *addressing.Assignment, capacity int) (*Fabric, error) {
-	f := &Fabric{
-		t: t, tables: map[int]*FlowTable{}, assign: assign, k: table.K,
-		serverByAddr: map[addressing.Address]int{},
-	}
+	f := &Fabric{tables: map[int]*FlowTable{}}
 	for _, sw := range t.Switches() {
 		f.tables[sw] = NewFlowTable(capacity)
-	}
-	for server, addrs := range assign.Addrs {
-		for _, a := range addrs {
-			f.serverByAddr[a] = server
-		}
 	}
 
 	// Representative servers per ingress switch (prefixes are shared, so

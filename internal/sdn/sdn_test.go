@@ -8,10 +8,11 @@ import (
 	"flattree/internal/addressing"
 	"flattree/internal/core"
 	"flattree/internal/routing"
+	"flattree/internal/topo"
 )
 
 // fabricFor compiles the data plane for the example network in one mode.
-func fabricFor(t *testing.T, mode core.Mode, k, capacity int) (*core.Realization, *routing.Table, *Fabric) {
+func fabricFor(t *testing.T, mode core.Mode, k, capacity int) (*core.Realization, *routing.Table, *addressing.Assignment, *Fabric) {
 	t.Helper()
 	nw, err := core.ExampleNetwork()
 	if err != nil {
@@ -28,11 +29,11 @@ func fabricFor(t *testing.T, mode core.Mode, k, capacity int) (*core.Realization
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r, table, f
+	return r, table, assign, f
 }
 
 func TestForwardFollowsKShortestPaths(t *testing.T) {
-	r, table, f := fabricFor(t, core.ModeGlobal, 4, 0)
+	r, table, assign, f := fabricFor(t, core.ModeGlobal, 4, 0)
 	servers := r.Topo.Servers()
 	checked := 0
 	for _, src := range servers[:6] {
@@ -46,11 +47,11 @@ func TestForwardFollowsKShortestPaths(t *testing.T) {
 				if si >= 4 {
 					break
 				}
-				pkt, err := f.SubflowPacket(src, dst, si)
+				pkt, err := subflowPacket(assign, table.K, src, dst, si)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := f.Forward(pkt)
+				got, err := forward(f, r.Topo, assign, pkt)
 				if err != nil {
 					t.Fatalf("%d->%d subflow %d: %v", src, dst, si, err)
 				}
@@ -73,7 +74,7 @@ func TestForwardFollowsKShortestPaths(t *testing.T) {
 }
 
 func TestDifferentSubflowsTakeDifferentPaths(t *testing.T) {
-	r, table, f := fabricFor(t, core.ModeGlobal, 4, 0)
+	r, table, assign, f := fabricFor(t, core.ModeGlobal, 4, 0)
 	servers := r.Topo.Servers()
 	// Find a pair with >= 2 distinct paths and confirm the packet paths
 	// differ between subflows.
@@ -87,19 +88,19 @@ func TestDifferentSubflowsTakeDifferentPaths(t *testing.T) {
 			if len(paths) < 2 {
 				continue
 			}
-			p0, err := f.SubflowPacket(src, dst, 0)
+			p0, err := subflowPacket(assign, table.K, src, dst, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			p1, err := f.SubflowPacket(src, dst, 1)
+			p1, err := subflowPacket(assign, table.K, src, dst, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			w0, err := f.Forward(p0)
+			w0, err := forward(f, r.Topo, assign, p0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			w1, err := f.Forward(p1)
+			w1, err := forward(f, r.Topo, assign, p1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -124,7 +125,7 @@ func TestDifferentSubflowsTakeDifferentPaths(t *testing.T) {
 func TestRuleCountsMatchRoutingAccounting(t *testing.T) {
 	// The compiled fabric's max table must track the routing layer's
 	// prefix-rule accounting (same counting, §5.3).
-	r, table, f := fabricFor(t, core.ModeClos, 4, 0)
+	_, table, _, f := fabricFor(t, core.ModeClos, 4, 0)
 	perSwitch := table.PrefixRulesPerSwitch()
 	for sw, want := range perSwitch {
 		// Compile adds one delivery rule per (ingress pair, subflow)
@@ -136,7 +137,6 @@ func TestRuleCountsMatchRoutingAccounting(t *testing.T) {
 			t.Fatalf("switch %d: %d rules exceeds accounting bound %d", sw, got, want)
 		}
 	}
-	_ = r
 }
 
 func TestCapacityOverflow(t *testing.T) {
@@ -162,7 +162,7 @@ func TestCapacityOverflow(t *testing.T) {
 func TestNaiveExplosion(t *testing.T) {
 	// Naive per-flow state must exceed prefix-aggregated state by about
 	// (servers per ingress switch)^2; on the Clos-mode testbed that is 9x.
-	r, table, f := fabricFor(t, core.ModeClos, 4, 0)
+	r, table, _, f := fabricFor(t, core.ModeClos, 4, 0)
 	naive := NaiveRuleCount(r.Topo, table)
 	prefix := f.TotalRules()
 	if naive <= prefix*4 {
@@ -197,19 +197,27 @@ func TestFlowTableBasics(t *testing.T) {
 // Table returns one switch's flow table.
 func (f *Fabric) Table(sw int) *FlowTable { return f.tables[sw] }
 
-// Forward walks a packet from the source server's switch through the flow
-// tables until delivery, returning the switch-level path. It errors on a
-// table miss or a loop.
-func (f *Fabric) Forward(p Packet) ([]int, error) {
-	srcServer, ok := f.serverByAddr[p.Src]
+// forward walks a packet from the source server's switch through the
+// fabric's flow tables until delivery, returning the switch-level path.
+// It resolves the packet's servers from the address assignment of the
+// topology the fabric was compiled for, and errors on an unknown address,
+// a table miss or a loop.
+func forward(f *Fabric, t *topo.Topology, assign *addressing.Assignment, p Packet) ([]int, error) {
+	serverByAddr := map[addressing.Address]int{}
+	for server, addrs := range assign.Addrs {
+		for _, a := range addrs {
+			serverByAddr[a] = server
+		}
+	}
+	srcServer, ok := serverByAddr[p.Src]
 	if !ok {
 		return nil, fmt.Errorf("sdn: unknown source address %v", p.Src)
 	}
-	dstServer, ok := f.serverByAddr[p.Dst]
+	dstServer, ok := serverByAddr[p.Dst]
 	if !ok {
 		return nil, fmt.Errorf("sdn: unknown destination address %v", p.Dst)
 	}
-	cur := f.t.AttachedSwitch(srcServer)
+	cur := t.AttachedSwitch(srcServer)
 	path := []int{cur}
 	for hops := 0; hops < 16; hops++ {
 		act, ok := f.tables[cur].Lookup(p)
@@ -217,22 +225,22 @@ func (f *Fabric) Forward(p Packet) ([]int, error) {
 			return nil, fmt.Errorf("sdn: table miss at switch %d for %v->%v", cur, p.Src, p.Dst)
 		}
 		if act.Deliver {
-			if cur != f.t.AttachedSwitch(dstServer) {
+			if cur != t.AttachedSwitch(dstServer) {
 				return nil, fmt.Errorf("sdn: delivered at %d but server %d lives on %d",
-					cur, dstServer, f.t.AttachedSwitch(dstServer))
+					cur, dstServer, t.AttachedSwitch(dstServer))
 			}
 			return path, nil
 		}
-		cur = f.t.G.Link(act.OutLink).Other(cur)
+		cur = t.G.Link(act.OutLink).Other(cur)
 		path = append(path, cur)
 	}
 	return nil, fmt.Errorf("sdn: forwarding loop for %v->%v", p.Src, p.Dst)
 }
 
-// SubflowPacket builds the packet for one routed subflow between two
-// servers.
-func (f *Fabric) SubflowPacket(srcServer, dstServer, subflow int) (Packet, error) {
-	subs := addressing.Subflows(f.assign.Addrs[srcServer], f.assign.Addrs[dstServer], f.k)
+// subflowPacket builds the packet for one of the k routed subflows
+// between two servers.
+func subflowPacket(assign *addressing.Assignment, k, srcServer, dstServer, subflow int) (Packet, error) {
+	subs := addressing.Subflows(assign.Addrs[srcServer], assign.Addrs[dstServer], k)
 	if subflow < 0 || subflow >= len(subs) {
 		return Packet{}, fmt.Errorf("sdn: subflow %d of %d", subflow, len(subs))
 	}

@@ -40,9 +40,10 @@ func BenchmarkCounterLookupEnabled(b *testing.B) {
 	}
 }
 
-// BenchmarkSpan measures a full start/attr/end cycle with telemetry on.
-// The registry is recycled periodically so the benchmark measures span
-// cost, not the memory of b.N retained roots.
+// BenchmarkSpan measures a full cycle with telemetry on: a root and one
+// timed child started, the child given an attribute, and both ended. The
+// registry is recycled periodically so the benchmark measures span cost,
+// not the memory of b.N retained roots.
 func BenchmarkSpan(b *testing.B) {
 	r := NewRegistry()
 	b.ResetTimer()
@@ -52,19 +53,24 @@ func BenchmarkSpan(b *testing.B) {
 			r = NewRegistry()
 			b.StartTimer()
 		}
-		sp := r.StartSpan("bench")
-		sp.SetAttr(Int("i", i))
+		sp := r.StartRootSpan("bench")
+		ch := sp.Child("phase")
+		ch.SetAttr(Int("i", i))
+		ch.End()
 		sp.End()
 	}
 }
 
-// BenchmarkSpanDisabled measures the nil-span no-op cycle.
+// BenchmarkSpanDisabled measures the same cycle with telemetry off: a
+// root from the nil global registry and its child are nil, so each call
+// is one branch. No attribute is set, because boxing a loop variable into
+// one would time an allocation the caller made, not the span.
 func BenchmarkSpanDisabled(b *testing.B) {
 	Disable()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sp := StartSpan("bench")
-		sp.SetAttr(Int("i", i))
+		sp := StartRootSpan("bench")
+		sp.Child("phase").End()
 		sp.End()
 	}
 }

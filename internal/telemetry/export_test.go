@@ -110,7 +110,7 @@ func TestWriteJSONUnderConcurrentSpanEnds(t *testing.T) {
 		defer wg.Done()
 		<-start
 		for i := 0; i < spans; i++ {
-			sp := r.StartSpan("worker")
+			sp := r.StartRootSpan("worker")
 			sp.Record("phase", 0.001)
 			sp.End()
 		}

@@ -36,9 +36,6 @@ func G(name string, labels ...string) *Gauge { return Default().Gauge(name, labe
 // disabled).
 func H(name string, labels ...string) *Histogram { return Default().Histogram(name, labels...) }
 
-// StartSpan opens a span on the global registry (nil when disabled).
-func StartSpan(name string, attrs ...Attr) *Span { return Default().StartSpan(name, attrs...) }
-
-// StartRootSpan opens an always-root span on the global registry (nil
-// when disabled).
+// StartRootSpan opens a root span on the global registry (nil when
+// disabled).
 func StartRootSpan(name string, attrs ...Attr) *Span { return Default().StartRootSpan(name, attrs...) }

@@ -31,8 +31,8 @@ func TestConcurrentRegistry(t *testing.T) {
 				gauge.Add(1)
 				hist.Observe(float64(i%100) * 1e-3)
 				if i%100 == 0 {
-					sp := r.StartSpan("work", Int("g", gi))
-					sp.Record("phase", 0.001, Int("i", i))
+					sp := r.StartRootSpan("work", Int("g", gi))
+					sp.Child("phase", Int("i", i)).End()
 					sp.End()
 				}
 				if i%500 == 0 {
@@ -52,22 +52,16 @@ func TestConcurrentRegistry(t *testing.T) {
 	if got := r.Histogram("obs_seconds").Count(); got != goroutines*iters {
 		t.Fatalf("histogram count = %d, want %d", got, goroutines*iters)
 	}
+	// Parents are explicit, so concurrent roots never nest: every work
+	// span is a root holding exactly its own phase.
 	snap := r.Snapshot()
-	// Concurrent spans may nest under each other (best-effort parenting),
-	// so count the whole tree.
-	var countWork func(ss []SpanSnapshot) int
-	countWork = func(ss []SpanSnapshot) int {
-		n := 0
-		for _, s := range ss {
-			if s.Name == "work" {
-				n++
-			}
-			n += countWork(s.Children)
-		}
-		return n
+	if got, want := len(snap.Spans), goroutines*(iters/100); got != want {
+		t.Fatalf("root spans = %d, want %d", got, want)
 	}
-	if got, want := countWork(snap.Spans), goroutines*(iters/100); got != want {
-		t.Fatalf("work spans = %d, want %d", got, want)
+	for _, s := range snap.Spans {
+		if s.Name != "work" || len(s.Children) != 1 || s.Children[0].Name != "phase" {
+			t.Fatalf("root %q has children %+v, want one phase", s.Name, s.Children)
+		}
 	}
 }
 

@@ -17,13 +17,11 @@ func Float(key string, v float64) Attr { return Attr{Key: key, Value: v} }
 // Str builds a string attribute.
 func Str(key, v string) Attr { return Attr{Key: key, Value: v} }
 
-// Span is one timed region of a run. Spans nest: a span started while
-// another is open becomes its child, so a run forms a trace tree (an
-// experiment root span over conversion spans over phase spans). Parenting
-// uses a registry-wide stack of open spans — precise for the single
-// orchestration goroutine that drives runs, best-effort when spans are
-// started from several goroutines at once (use Record for children built
-// concurrently or with modeled durations).
+// Span is one timed region of a run. Spans nest explicitly: a root comes
+// from StartRootSpan and every other span from its parent, through Child
+// (timed) or Record (modeled). A run forms a trace tree (an experiment
+// root span over conversion spans over phase spans) that the code
+// starting the spans decides, whichever goroutine runs first.
 //
 // The nil Span is a valid no-op, so instrumented code never checks whether
 // telemetry is enabled.
@@ -35,45 +33,42 @@ type Span struct {
 	offset float64 // seconds since registry creation
 	dur    float64 // seconds; wall time at End, or modeled (Record)
 	model  bool    // duration is modeled, not measured
+	ended  bool
 	attrs  []Attr
 	kids   []*Span
-	ended  bool
 }
 
-// StartSpan opens a span as a child of the innermost open span (or as a
-// root). It returns nil — a no-op span — on a nil registry.
-func (r *Registry) StartSpan(name string, attrs ...Attr) *Span {
-	if r == nil {
-		return nil
-	}
+// newSpan opens a span under parent (nil for a root) without filing it.
+func (r *Registry) newSpan(parent *Span, name string, attrs []Attr) *Span {
 	now := time.Now()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	sp := &Span{reg: r, name: name, start: now, offset: now.Sub(r.start).Seconds(), attrs: attrs}
-	if n := len(r.stack); n > 0 {
-		sp.parent = r.stack[n-1]
-		sp.parent.kids = append(sp.parent.kids, sp)
-	}
-	r.stack = append(r.stack, sp)
-	return sp
+	return &Span{reg: r, parent: parent, name: name, start: now, offset: now.Sub(r.start).Seconds(), attrs: attrs}
 }
 
-// StartRootSpan opens a span that is always a root, regardless of the
-// open-span stack — for top-level operations that may run concurrently
-// (parallel experiment batches) and whose spans must not nest under one
-// another. The span still joins the stack so spans started below it
-// attach as children; with several roots open at once that attribution
-// is best-effort, like all cross-goroutine parenting here.
+// StartRootSpan opens a root span. It returns nil — a no-op span — on a
+// nil registry. It takes no lock: a root joins the registry only when it
+// ends.
 func (r *Registry) StartRootSpan(name string, attrs ...Attr) *Span {
 	if r == nil {
 		return nil
 	}
-	now := time.Now()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	sp := &Span{reg: r, name: name, start: now, offset: now.Sub(r.start).Seconds(), attrs: attrs}
-	r.stack = append(r.stack, sp)
-	return sp
+	return r.newSpan(nil, name, attrs)
+}
+
+// Child opens a timed child span of s. It returns nil on a nil span, so
+// disabled telemetry stays one branch.
+func (s *Span) Child(name string, attrs ...Attr) *Span {
+	if s == nil {
+		return nil
+	}
+	return s.adopt(s.reg.newSpan(s, name, attrs))
+}
+
+// adopt files kid as the last child of s.
+func (s *Span) adopt(kid *Span) *Span {
+	s.reg.mu.Lock()
+	defer s.reg.mu.Unlock()
+	s.kids = append(s.kids, kid)
+	return kid
 }
 
 // SetAttr appends attributes to the span.
@@ -93,22 +88,14 @@ func (s *Span) Record(name string, seconds float64, attrs ...Attr) *Span {
 	if s == nil {
 		return nil
 	}
-	now := time.Now()
-	s.reg.mu.Lock()
-	defer s.reg.mu.Unlock()
-	child := &Span{
-		reg: s.reg, parent: s, name: name, start: now,
-		offset: now.Sub(s.reg.start).Seconds(),
-		dur:    seconds, model: true, attrs: attrs, ended: true,
-	}
-	s.kids = append(s.kids, child)
-	return child
+	kid := s.reg.newSpan(s, name, attrs)
+	kid.dur, kid.model, kid.ended = seconds, true, true
+	return s.adopt(kid)
 }
 
-// End closes the span, fixing its wall-clock duration, and files root
-// spans into the registry for export. Ending out of order is tolerated
-// (the span is removed from wherever it sits on the open stack); double
-// End is a no-op.
+// End closes the span, fixing its wall-clock duration, and files a span
+// with no parent into the registry as a root for export. Ending a parent
+// before its children is tolerated; double End is a no-op.
 func (s *Span) End() {
 	if s == nil {
 		return
@@ -122,12 +109,6 @@ func (s *Span) End() {
 	}
 	s.ended = true
 	s.dur = dur
-	for i := len(r.stack) - 1; i >= 0; i-- {
-		if r.stack[i] == s {
-			r.stack = append(r.stack[:i], r.stack[i+1:]...)
-			break
-		}
-	}
 	if s.parent == nil {
 		r.fileRootLocked(s)
 	}

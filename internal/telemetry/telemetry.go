@@ -145,7 +145,6 @@ type Registry struct {
 	// is 0.
 	roots    []*Span
 	rootHead int
-	stack    []*Span // open spans; top is the implicit parent of new spans
 	// rootLimit bounds the finished-root-span history (0 = unbounded);
 	// droppedRoots counts spans the bound discarded.
 	rootLimit    int

@@ -29,9 +29,12 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	if h.Count() != 0 || h.Sum() != 0 {
 		t.Fatalf("nil histogram count=%d sum=%v", h.Count(), h.Sum())
 	}
-	sp := r.StartSpan("s")
+	sp := r.StartRootSpan("s")
 	sp.SetAttr(Int("k", 1))
 	sp.Record("child", 0.5)
+	if ch := sp.Child("timed"); ch != nil {
+		t.Fatalf("nil span's Child = %+v, want nil", ch)
+	}
 	sp.End()
 	snap := r.Snapshot()
 	if len(snap.Spans) != 0 || len(snap.Counters) != 0 {
@@ -47,7 +50,7 @@ func TestGlobalDisabledByDefault(t *testing.T) {
 	if Default() != nil {
 		t.Fatal("global registry not nil before Enable")
 	}
-	if C("a") != nil || G("b") != nil || H("c") != nil || StartSpan("d") != nil {
+	if C("a") != nil || G("b") != nil || H("c") != nil || StartRootSpan("d") != nil {
 		t.Fatal("disabled accessors returned live handles")
 	}
 	r := Enable()
@@ -110,8 +113,8 @@ func TestCountersGaugesHistograms(t *testing.T) {
 
 func TestSpanNesting(t *testing.T) {
 	r := NewRegistry()
-	root := r.StartSpan("experiment", Str("id", "table3"))
-	conv := r.StartSpan("conversion")
+	root := r.StartRootSpan("experiment", Str("id", "table3"))
+	conv := root.Child("conversion")
 	conv.Record("ocs", 0.160, Int("partitions", 4))
 	conv.Record("ramp", 1.2)
 	conv.SetAttr(Int("rules", 42))
@@ -155,9 +158,9 @@ func TestSpanNesting(t *testing.T) {
 
 func TestSpanDoubleEndAndOutOfOrder(t *testing.T) {
 	r := NewRegistry()
-	a := r.StartSpan("a")
-	b := r.StartSpan("b")
-	a.End() // out of order: a ends while b is open
+	a := r.StartRootSpan("a")
+	b := a.Child("b")
+	a.End() // out of order: a ends while its child b is open
 	b.End()
 	b.End() // double end is a no-op
 	snap := r.Snapshot()
