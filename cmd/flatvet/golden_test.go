@@ -15,7 +15,7 @@ import (
 
 // TestViolationsGolden runs the full suite over the deliberately broken
 // testdata/violations module and asserts the exact diagnostic
-// positions and messages for all five analyzers plus the directive
+// positions and messages for every analyzer plus the directive
 // checks — this is the test that proves CI goes red on a seeded
 // violation.
 func TestViolationsGolden(t *testing.T) {
@@ -35,7 +35,7 @@ func TestViolationsGolden(t *testing.T) {
 	// checks; guard against the testdata rotting into partial coverage.
 	for _, analyzer := range []string{
 		"maporder", "floatsum", "seededrand", "simclock", "spanend",
-		"lockcheck", "ctxflow", "errdrop", "hotalloc", "testonly", "flatvet",
+		"ctxflow", "errdrop", "hotalloc", "testonly", "flatvet",
 	} {
 		if !strings.Contains(string(golden), ": "+analyzer+": ") {
 			t.Errorf("golden file has no %s diagnostic", analyzer)

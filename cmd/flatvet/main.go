@@ -1,6 +1,6 @@
 // Command flatvet runs the repo's determinism, seeding, telemetry,
-// concurrency, and hot-path analyzers, and the whole-tree testonly
-// check, over a package tree.
+// context-threading, error and hot-path analyzers, and the whole-tree
+// testonly check, over a package tree.
 //
 // Usage:
 //
@@ -15,7 +15,6 @@
 //	seededrand  global math/rand or wall-clock-seeded sources
 //	simclock    time.Now/Since/Until in simulated-time packages
 //	spanend     telemetry spans that never reach End
-//	lockcheck   blocking calls and guarded-field writes under the service mutex
 //	ctxflow     context threading on daemon request paths
 //	errdrop     discarded error returns in simulation/control packages
 //	hotalloc    allocation in //flatvet:hotpath-marked functions

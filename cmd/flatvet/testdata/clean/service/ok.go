@@ -1,34 +1,14 @@
-// Package service is a lockcheck/ctxflow-scope package with no
-// violations: the snapshot helper releases the lock before the handler
-// writes, guarded fields are written under the write lock, and the
-// request context threads through the helpers.
+// Package service is a ctxflow-scope package with no violations: the
+// request context threads through the helper.
 package service
 
 import (
 	"context"
 	"net/http"
-	"sync"
 )
 
-type daemon struct {
-	mu    sync.RWMutex
-	state int
-}
-
-func (d *daemon) handle(w http.ResponseWriter, r *http.Request) {
-	w.Write([]byte(label(r.Context(), d.snapshot())))
-}
-
-func (d *daemon) snapshot() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.state
-}
-
-func (d *daemon) bump() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.state++
+func handle(w http.ResponseWriter, r *http.Request) {
+	w.Write([]byte(label(r.Context(), 1)))
 }
 
 func label(ctx context.Context, n int) string {

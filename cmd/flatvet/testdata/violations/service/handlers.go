@@ -1,34 +1,19 @@
-// Package service seeds lockcheck and ctxflow violations: a handler
-// that writes the response while holding the RWMutex, a guarded-field
-// write outside any lock region, and a severed request context.
+// Package service seeds ctxflow violations: a severed request context
+// and a context parameter the body drops.
 package service
 
 import (
 	"context"
 	"net/http"
-	"sync"
 )
 
-type daemon struct {
-	mu    sync.RWMutex
-	state int
-}
-
-// handle blocks on the client write under the read lock and restarts
-// the context chain below the request.
-func (d *daemon) handle(w http.ResponseWriter, r *http.Request) {
+// handle restarts the context chain below the request.
+func handle(w http.ResponseWriter, r *http.Request) {
 	ctx := context.Background()
-	d.mu.RLock()
-	defer d.mu.RUnlock()
 	w.Write([]byte(statusLabel(ctx)))
 }
 
 // statusLabel drops the context it accepts.
 func statusLabel(ctx context.Context) string {
 	return "ok"
-}
-
-// bump writes the guarded counter without taking the lock.
-func (d *daemon) bump() {
-	d.state++
 }

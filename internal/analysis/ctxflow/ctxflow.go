@@ -3,8 +3,8 @@
 //
 // Every request into flatd carries a context (deadline, cancellation);
 // work done on behalf of that request must observe it, or a cancelled
-// client keeps consuming the daemon's one write lock and CPU. Inside
-// its scope packages the analyzer flags:
+// client keeps consuming the daemon's CPU. Inside its scope packages
+// the analyzer flags:
 //
 //  1. context.Background() / context.TODO() in any function that
 //     already has a context in scope — a context.Context parameter or a

@@ -1,49 +1,21 @@
 package load
 
 // This file is the loader's per-function summary pass: one cheap walk
-// per declared function recording the facts the concurrency analyzers
-// (lockcheck, ctxflow) need to reason across intra-package call chains
-// without whole-program analysis — does the function take (and use) a
-// context.Context, does it look like a request-path root (*http.Request
-// parameter), which mutexes does it acquire or release, which
-// potentially-blocking operations does it perform directly, and which
-// package-local functions does it call. The facts are syntactic and
-// deliberately conservative: operations inside nested function literals
-// are excluded from the blocking/lock facts (a closure runs when it is
-// called, not when it is built), while call edges and identifier uses do
-// include literal bodies, because a closure built in a request path
-// usually runs in that request path.
+// per declared function recording the facts ctxflow needs to reason
+// across intra-package call chains without whole-program analysis —
+// does the function take (and use) a context.Context, does it look like
+// a request-path root (*http.Request parameter), and which
+// package-local functions does it call. The facts are syntactic; call
+// edges and identifier uses include nested function literals, because a
+// closure built in a request path usually runs in that request path.
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
-// Blocking is one potentially-blocking operation: a wall-clock sleep, a
-// network I/O call, a bare channel operation, or a select with no
-// default clause.
-type Blocking struct {
-	Pos  token.Pos
-	What string // human-readable, e.g. "time.Sleep", "net/http Write"
-}
-
-// LockOp is one mutex acquire or release on a sync.Mutex or
-// sync.RWMutex value, resolved to the variable (usually a struct field)
-// that holds the mutex.
-type LockOp struct {
-	Pos      token.Pos
-	Mutex    *types.Var // the mutex field or variable operated on
-	Acquire  bool       // Lock/RLock vs Unlock/RUnlock
-	Write    bool       // Lock/Unlock vs RLock/RUnlock
-	Deferred bool       // the op is the call of a defer statement
-}
-
 // FuncFact is the summary of one declared function.
 type FuncFact struct {
-	Decl *ast.FuncDecl
-	Obj  *types.Func
-
 	// HasCtx reports a context.Context parameter; CtxUsed whether that
 	// parameter is referenced anywhere in the body (literals included).
 	HasCtx  bool
@@ -51,11 +23,6 @@ type FuncFact struct {
 	// HasRequest reports a *net/http.Request parameter — the shape of a
 	// request-path root.
 	HasRequest bool
-
-	// Blocking and Locks are the function's direct operations, nested
-	// function literals excluded.
-	Blocking []Blocking
-	Locks    []LockOp
 
 	// Calls lists the package-local functions and methods this function
 	// calls (literal bodies included), in source order, deduplicated.
@@ -81,64 +48,6 @@ func (s *Summary) Fact(obj *types.Func) *FuncFact {
 	return s.Funcs[obj]
 }
 
-// BlocksVia reports whether calling f can reach a blocking operation
-// through package-local calls, returning the first such operation and
-// the call chain (f first) that reaches it. Direct operations win over
-// transitive ones; ties break in source order, so the answer does not
-// depend on map iteration.
-func (s *Summary) BlocksVia(f *types.Func) (chain []*types.Func, op Blocking, ok bool) {
-	return s.blocksVia(f, map[*types.Func]bool{})
-}
-
-func (s *Summary) blocksVia(f *types.Func, seen map[*types.Func]bool) ([]*types.Func, Blocking, bool) {
-	if seen[f] {
-		return nil, Blocking{}, false
-	}
-	seen[f] = true
-	fact := s.Fact(f)
-	if fact == nil {
-		return nil, Blocking{}, false
-	}
-	if len(fact.Blocking) > 0 {
-		return []*types.Func{f}, fact.Blocking[0], true
-	}
-	for _, callee := range fact.Calls {
-		if chain, op, ok := s.blocksVia(callee, seen); ok {
-			return append([]*types.Func{f}, chain...), op, true
-		}
-	}
-	return nil, Blocking{}, false
-}
-
-// AcquiresVia reports whether calling f can acquire mu (the same mutex
-// variable) through package-local calls — the self-deadlock shape when
-// f is invoked with mu already held.
-func (s *Summary) AcquiresVia(f *types.Func, mu *types.Var) bool {
-	return s.acquiresVia(f, mu, map[*types.Func]bool{})
-}
-
-func (s *Summary) acquiresVia(f *types.Func, mu *types.Var, seen map[*types.Func]bool) bool {
-	if seen[f] {
-		return false
-	}
-	seen[f] = true
-	fact := s.Fact(f)
-	if fact == nil {
-		return false
-	}
-	for _, op := range fact.Locks {
-		if op.Acquire && op.Mutex == mu {
-			return true
-		}
-	}
-	for _, callee := range fact.Calls {
-		if s.acquiresVia(callee, mu, seen) {
-			return true
-		}
-	}
-	return false
-}
-
 func computeSummary(p *Package) *Summary {
 	s := &Summary{Funcs: make(map[*types.Func]*FuncFact)}
 	for _, f := range p.Files {
@@ -151,21 +60,16 @@ func computeSummary(p *Package) *Summary {
 			if !ok {
 				continue
 			}
-			fact := &FuncFact{
-				Decl:     fd,
-				Obj:      obj,
-				Blocking: BlockingOps(p.Info, fd.Body),
-				Locks:    MutexOps(p.Info, fd.Body),
-			}
+			fact := &FuncFact{}
 			sig := obj.Type().(*types.Signature)
 			var ctxParam *types.Var
 			for i := 0; i < sig.Params().Len(); i++ {
 				prm := sig.Params().At(i)
-				if IsContextType(prm.Type()) {
+				if isContextType(prm.Type()) {
 					fact.HasCtx = true
 					ctxParam = prm
 				}
-				if IsRequestType(prm.Type()) {
+				if isRequestType(prm.Type()) {
 					fact.HasRequest = true
 				}
 			}
@@ -176,7 +80,7 @@ func computeSummary(p *Package) *Summary {
 						fact.CtxUsed = true
 					}
 				case *ast.CallExpr:
-					if callee := StaticCallee(p.Info, n); callee != nil && callee.Pkg() == p.Types {
+					if callee := staticCallee(p.Info, n); callee != nil && callee.Pkg() == p.Types {
 						fact.Calls = append(fact.Calls, callee)
 					}
 				}
@@ -201,8 +105,8 @@ func dedupFuncs(in []*types.Func) []*types.Func {
 	return out
 }
 
-// IsContextType reports whether t is context.Context.
-func IsContextType(t types.Type) bool {
+// isContextType reports whether t is context.Context.
+func isContextType(t types.Type) bool {
 	named, ok := t.(*types.Named)
 	if !ok {
 		return false
@@ -211,8 +115,8 @@ func IsContextType(t types.Type) bool {
 	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
 }
 
-// IsRequestType reports whether t is *net/http.Request.
-func IsRequestType(t types.Type) bool {
+// isRequestType reports whether t is *net/http.Request.
+func isRequestType(t types.Type) bool {
 	ptr, ok := t.(*types.Pointer)
 	if !ok {
 		return false
@@ -225,10 +129,10 @@ func IsRequestType(t types.Type) bool {
 	return obj.Pkg() != nil && obj.Pkg().Path() == "net/http" && obj.Name() == "Request"
 }
 
-// StaticCallee resolves the function or method a call statically invokes
+// staticCallee resolves the function or method a call statically invokes
 // (plain identifier or selector), or nil for builtins, type conversions,
 // and calls through function values.
-func StaticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
+func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		if f, ok := info.Uses[fun].(*types.Func); ok {
@@ -240,253 +144,4 @@ func StaticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 		}
 	}
 	return nil
-}
-
-// netBlocking and httpBlocking name the calls in packages net and
-// net/http treated as network I/O. The name filter keeps pure helpers
-// (net.JoinHostPort, http.StatusText, r.Context) out of the blocking
-// set.
-var netBlocking = map[string]bool{
-	"Dial": true, "DialTimeout": true, "DialContext": true, "Listen": true,
-	"ListenPacket": true, "Accept": true, "Read": true, "ReadFrom": true,
-	"Write": true, "WriteTo": true, "Close": true,
-}
-
-var httpBlocking = map[string]bool{
-	"Get": true, "Head": true, "Post": true, "PostForm": true, "Do": true,
-	"Serve": true, "ListenAndServe": true, "ListenAndServeTLS": true,
-	"Shutdown": true, "Write": true, "WriteHeader": true, "Flush": true,
-}
-
-var execBlocking = map[string]bool{
-	"Run": true, "Output": true, "CombinedOutput": true, "Wait": true,
-}
-
-// BlockingOps returns the potentially-blocking operations performed
-// directly by body: time.Sleep, name-filtered calls into net, net/http,
-// and os/exec, sync.WaitGroup.Wait / sync.Cond.Wait, channel sends and
-// receives outside a select, and selects with no default clause.
-// Operations inside nested function literals are the literal's, not the
-// body's, and are skipped.
-func BlockingOps(info *types.Info, body ast.Node) []Blocking {
-	var ops []Blocking
-	inspectSkipFuncLits(body, func(n ast.Node) {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			if b, ok := blockingCall(info, n); ok {
-				ops = append(ops, b)
-			}
-		case *ast.SendStmt:
-			ops = append(ops, Blocking{Pos: n.Arrow, What: "channel send"})
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				ops = append(ops, Blocking{Pos: n.OpPos, What: "channel receive"})
-			}
-		case *ast.SelectStmt:
-			hasDefault := false
-			for _, c := range n.Body.List {
-				if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-					hasDefault = true
-				}
-			}
-			if !hasDefault {
-				ops = append(ops, Blocking{Pos: n.Select, What: "select without default"})
-			}
-		}
-	})
-	// Channel operations that are the communication of a select clause
-	// are the select's, not their own; drop them.
-	selects := selectCommPositions(body)
-	kept := ops[:0]
-	for _, op := range ops {
-		if (op.What == "channel send" || op.What == "channel receive") && selects[op.Pos] {
-			continue
-		}
-		kept = append(kept, op)
-	}
-	return kept
-}
-
-// selectCommPositions collects the positions of channel operators that
-// appear inside a select communication clause.
-func selectCommPositions(body ast.Node) map[token.Pos]bool {
-	pos := map[token.Pos]bool{}
-	ast.Inspect(body, func(n ast.Node) bool {
-		sel, ok := n.(*ast.SelectStmt)
-		if !ok {
-			return true
-		}
-		for _, c := range sel.Body.List {
-			cc, ok := c.(*ast.CommClause)
-			if !ok || cc.Comm == nil {
-				continue
-			}
-			ast.Inspect(cc.Comm, func(m ast.Node) bool {
-				switch m := m.(type) {
-				case *ast.SendStmt:
-					pos[m.Arrow] = true
-				case *ast.UnaryExpr:
-					if m.Op == token.ARROW {
-						pos[m.OpPos] = true
-					}
-				}
-				return true
-			})
-		}
-		return true
-	})
-	return pos
-}
-
-func blockingCall(info *types.Info, call *ast.CallExpr) (Blocking, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return Blocking{}, false
-	}
-	path, ok := selPkgPath(info, sel)
-	if !ok {
-		return Blocking{}, false
-	}
-	name := sel.Sel.Name
-	switch path {
-	case "time":
-		if name == "Sleep" {
-			return Blocking{Pos: call.Pos(), What: "time.Sleep"}, true
-		}
-	case "net":
-		if netBlocking[name] {
-			return Blocking{Pos: call.Pos(), What: "net " + name}, true
-		}
-	case "net/http":
-		if httpBlocking[name] {
-			return Blocking{Pos: call.Pos(), What: "net/http " + name}, true
-		}
-	case "os/exec":
-		if execBlocking[name] {
-			return Blocking{Pos: call.Pos(), What: "os/exec " + name}, true
-		}
-	case "sync":
-		if name == "Wait" {
-			return Blocking{Pos: call.Pos(), What: "sync Wait"}, true
-		}
-	}
-	return Blocking{}, false
-}
-
-// MutexOps returns body's direct Lock/RLock/Unlock/RUnlock calls on
-// sync.Mutex / sync.RWMutex values, nested function literals skipped.
-func MutexOps(info *types.Info, body ast.Node) []LockOp {
-	var ops []LockOp
-	deferredCalls := map[*ast.CallExpr]bool{}
-	collect := func(call *ast.CallExpr, deferred bool) {
-		if op, ok := mutexOp(info, call, deferred); ok {
-			ops = append(ops, op)
-		}
-	}
-	inspectSkipFuncLits(body, func(n ast.Node) {
-		switch n := n.(type) {
-		case *ast.DeferStmt:
-			deferredCalls[n.Call] = true
-			collect(n.Call, true)
-		case *ast.CallExpr:
-			if !deferredCalls[n] {
-				collect(n, false)
-			}
-		}
-	})
-	return ops
-}
-
-func mutexOp(info *types.Info, call *ast.CallExpr, deferred bool) (LockOp, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return LockOp{}, false
-	}
-	name := sel.Sel.Name
-	if name != "Lock" && name != "RLock" && name != "Unlock" && name != "RUnlock" {
-		return LockOp{}, false
-	}
-	s, ok := info.Selections[sel]
-	if !ok {
-		return LockOp{}, false
-	}
-	recv := s.Recv()
-	if ptr, isPtr := recv.(*types.Pointer); isPtr {
-		recv = ptr.Elem()
-	}
-	named, ok := recv.(*types.Named)
-	if !ok {
-		return LockOp{}, false
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" || (obj.Name() != "Mutex" && obj.Name() != "RWMutex") {
-		return LockOp{}, false
-	}
-	mu := mutexVar(info, sel.X)
-	if mu == nil {
-		return LockOp{}, false
-	}
-	return LockOp{
-		Pos:      call.Pos(),
-		Mutex:    mu,
-		Acquire:  name == "Lock" || name == "RLock",
-		Write:    name == "Lock" || name == "Unlock",
-		Deferred: deferred,
-	}, true
-}
-
-// mutexVar resolves the variable holding the mutex: the field of a
-// selector (s.mu), or a plain identifier (package-level or local mutex).
-func mutexVar(info *types.Info, x ast.Expr) *types.Var {
-	switch x := ast.Unparen(x).(type) {
-	case *ast.SelectorExpr:
-		if s, ok := info.Selections[x]; ok {
-			if v, ok := s.Obj().(*types.Var); ok {
-				return v
-			}
-		}
-		if v, ok := info.Uses[x.Sel].(*types.Var); ok {
-			return v
-		}
-	case *ast.Ident:
-		if v, ok := info.Uses[x].(*types.Var); ok {
-			return v
-		}
-	}
-	return nil
-}
-
-// inspectSkipFuncLits walks root like ast.Inspect but does not descend
-// into function literals (other than root itself, when root is one).
-func inspectSkipFuncLits(root ast.Node, fn func(ast.Node)) {
-	var body ast.Node = root
-	if fl, ok := root.(*ast.FuncLit); ok {
-		body = fl.Body
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		if n == nil {
-			return true
-		}
-		if _, ok := n.(*ast.FuncLit); ok && n != root {
-			return false
-		}
-		fn(n)
-		return true
-	})
-}
-
-// selPkgPath mirrors analysis.SelPkgPath without importing it (the
-// analysis package imports load).
-func selPkgPath(info *types.Info, sel *ast.SelectorExpr) (string, bool) {
-	if id, ok := sel.X.(*ast.Ident); ok {
-		if pn, ok := info.Uses[id].(*types.PkgName); ok {
-			return pn.Imported().Path(), true
-		}
-	}
-	if s, ok := info.Selections[sel]; ok {
-		if obj := s.Obj(); obj != nil && obj.Pkg() != nil {
-			return obj.Pkg().Path(), true
-		}
-	}
-	return "", false
 }

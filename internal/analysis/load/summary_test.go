@@ -1,15 +1,11 @@
 package load
 
-import (
-	"go/types"
-	"testing"
-)
+import "testing"
 
 // TestSummaryServiceFacts computes the per-function summary over the
-// real internal/service package and checks the facts the concurrency
-// analyzers consume: context parameters and their use, request-path
-// roots, lock operations resolved to the mutex variable, and blocking
-// reachability through intra-package call chains.
+// real internal/service package and checks the facts ctxflow consumes:
+// context parameters and their use, request-path roots, and
+// intra-package call edges.
 func TestSummaryServiceFacts(t *testing.T) {
 	pkgs, err := Load(repoRoot(t), "./internal/service")
 	if err != nil {
@@ -27,82 +23,56 @@ func TestSummaryServiceFacts(t *testing.T) {
 		t.Error("Summary() not cached: second call returned a different value")
 	}
 
-	find := func(name string) (*types.Func, *FuncFact) {
+	find := func(name string) *FuncFact {
 		t.Helper()
 		for obj, f := range sum.Funcs {
 			if obj.Name() == name {
-				return obj, f
+				return f
 			}
 		}
 		t.Fatalf("no summary fact for %s", name)
-		return nil, nil
+		return nil
+	}
+	calls := func(f *FuncFact, name string) bool {
+		for _, callee := range f.Calls {
+			if callee.Name() == name {
+				return true
+			}
+		}
+		return false
 	}
 
 	// Run(ctx, ln) threads its context into the shutdown path.
-	if _, f := find("Run"); !f.HasCtx || !f.CtxUsed {
+	if f := find("Run"); !f.HasCtx || !f.CtxUsed {
 		t.Errorf("Run: HasCtx=%v CtxUsed=%v, want both true", f.HasCtx, f.CtxUsed)
 	}
 
-	// handleTopology is a request-path root whose own body holds no lock.
-	if _, f := find("handleTopology"); !f.HasRequest || len(f.Locks) != 0 {
-		t.Errorf("handleTopology: HasRequest=%v Locks=%v, want request root with no direct lock ops", f.HasRequest, f.Locks)
+	// handleTopology is a request-path root with no context parameter,
+	// and reaches writeJSON through one call edge.
+	ht := find("handleTopology")
+	if !ht.HasRequest || ht.HasCtx {
+		t.Errorf("handleTopology: HasRequest=%v HasCtx=%v, want a request root without a ctx parameter", ht.HasRequest, ht.HasCtx)
+	}
+	if !calls(ht, "writeJSON") {
+		t.Errorf("handleTopology calls %v, want writeJSON among them", ht.Calls)
 	}
 
-	// snapshotTopology acquires the read lock and releases it deferred.
-	var mu *types.Var
-	if _, f := find("snapshotTopology"); true {
-		var acquired, released bool
-		for _, op := range f.Locks {
-			if op.Acquire && !op.Write {
-				acquired = true
-				mu = op.Mutex
-			}
-			if !op.Acquire && op.Deferred {
-				released = true
-			}
-		}
-		if !acquired || !released {
-			t.Errorf("snapshotTopology: lock ops %+v, want RLock + deferred RUnlock", f.Locks)
-		}
+	// Handler calls requestStats once per endpoint, in a loop; each edge
+	// is listed once.
+	h := find("Handler")
+	if !calls(h, "observe") || !calls(h, "requestStats") {
+		t.Errorf("Handler calls %v, want observe and requestStats among them", h.Calls)
 	}
-	if mu == nil || mu.Name() != "mu" {
-		t.Fatalf("snapshotTopology mutex = %v, want field mu", mu)
+	seen := map[string]bool{}
+	for _, callee := range h.Calls {
+		if seen[callee.FullName()] {
+			t.Errorf("Handler lists %s twice", callee.FullName())
+		}
+		seen[callee.FullName()] = true
 	}
 
-	// applyLinkEvent takes the write lock on the same mutex variable, so
-	// calling it with mu held is the self-deadlock AcquiresVia reports.
-	apply, af := find("applyLinkEvent")
-	var writeAcquire bool
-	for _, op := range af.Locks {
-		if op.Acquire && op.Write && op.Mutex == mu {
-			writeAcquire = true
-		}
-	}
-	if !writeAcquire {
-		t.Errorf("applyLinkEvent: lock ops %+v, want write acquire of mu", af.Locks)
-	}
-	if !sum.AcquiresVia(apply, mu) {
-		t.Error("AcquiresVia(applyLinkEvent, mu) = false, want true")
-	}
-
-	// writeJSON blocks directly (response write); handleTopology reaches
-	// it through one call edge, and BlocksVia reports the chain.
-	wj, wf := find("writeJSON")
-	if len(wf.Blocking) == 0 {
-		t.Fatalf("writeJSON: no blocking ops recorded")
-	}
-	ht, _ := find("handleTopology")
-	chain, op, ok := sum.BlocksVia(ht)
-	if !ok {
-		t.Fatal("BlocksVia(handleTopology) found nothing; it calls writeJSON")
-	}
-	if len(chain) == 0 || chain[0] != ht {
-		t.Errorf("BlocksVia chain %v does not start at handleTopology", chain)
-	}
-	if op.What == "" {
-		t.Error("BlocksVia returned an empty operation")
-	}
-	if sum.AcquiresVia(wj, mu) {
-		t.Error("AcquiresVia(writeJSON, mu) = true; writeJSON takes no locks")
+	// writeJSON is reached, but is not itself a request root.
+	if f := find("writeJSON"); f.HasRequest || f.HasCtx {
+		t.Errorf("writeJSON: HasRequest=%v HasCtx=%v, want neither", f.HasRequest, f.HasCtx)
 	}
 }

@@ -15,7 +15,7 @@ func sample() Log {
 			Name:           "flatvet",
 			InformationURI: "https://example.invalid/flatvet",
 			Rules: []Rule{
-				{ID: "lockcheck", ShortDescription: Message{Text: "blocking calls under the service mutex"}},
+				{ID: "ctxflow", ShortDescription: Message{Text: "context threading on daemon request paths"}},
 				{ID: "maporder", ShortDescription: Message{Text: "range over map in deterministic code"}},
 			},
 		},

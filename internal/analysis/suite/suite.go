@@ -25,7 +25,6 @@ import (
 	"flattree/internal/analysis/floatsum"
 	"flattree/internal/analysis/hotalloc"
 	"flattree/internal/analysis/load"
-	"flattree/internal/analysis/lockcheck"
 	"flattree/internal/analysis/maporder"
 	"flattree/internal/analysis/sarif"
 	"flattree/internal/analysis/seededrand"
@@ -42,7 +41,6 @@ func Analyzers() []*analysis.Analyzer {
 		seededrand.Analyzer,
 		simclock.Analyzer,
 		spanend.Analyzer,
-		lockcheck.Analyzer,
 		ctxflow.Analyzer,
 		errdrop.Analyzer,
 		hotalloc.Analyzer,

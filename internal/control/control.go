@@ -114,8 +114,8 @@ type Controller struct {
 	// events mutate inc.
 	realization *core.Realization
 	inc         *routing.IncrementalTable
-	// table is a frozen copy of inc's view, taken after every change of
-	// state, that Table returns.
+	// table is inc.Frozen(), taken after every change of state, that
+	// Table returns.
 	table *routing.Table
 	// lastCompute is the most recent reinstall's route-installation time
 	// for conversion reports.
@@ -192,17 +192,8 @@ func (c *Controller) reinstall(record [][3]int) error {
 	}
 	c.lastCompute = time.Since(start).Seconds()
 	telemetry.H("control_route_compute_seconds").Observe(c.lastCompute)
-	c.realization, c.inc = r, inc
-	c.publish()
+	c.realization, c.inc, c.table = r, inc, inc.Frozen()
 	return nil
-}
-
-// publish freezes the installed table for Table. An event replaces a
-// pair's path slice and never edits one in place, so a copy of Paths
-// suffices.
-func (c *Controller) publish() {
-	c.table = c.inc.View()
-	c.table.Paths = slices.Clone(c.table.Paths)
 }
 
 func configsOf(nw *core.Network) []core.Config {

@@ -45,7 +45,7 @@ func (c *Controller) FailLink(a, b int) error {
 		}
 		return fmt.Errorf("control: failing link %d-%d would partition the network: node %d is cut off from node 0", a, b, node)
 	}
-	c.publish()
+	c.table = c.inc.Frozen()
 	return nil
 }
 
@@ -55,7 +55,7 @@ func (c *Controller) RepairLink(a, b int) error {
 	if _, _, err := c.inc.Apply(a, b, true); err != nil {
 		return fmt.Errorf("control: no recorded failure between %d and %d", a, b)
 	}
-	c.publish()
+	c.table = c.inc.Frozen()
 	return nil
 }
 

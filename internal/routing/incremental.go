@@ -266,11 +266,18 @@ func (it *IncrementalTable) SetSimTime(t float64) { it.simTime = t }
 
 // View returns the installed table as a *Table sharing the incremental
 // state: it reflects every event applied so far and remains live
-// through future events. Callers needing a frozen table must copy it; a
-// copy of Paths suffices, as an event replaces a pair's path slice and
-// never edits one in place.
+// through future events. Frozen returns one that does not.
 func (it *IncrementalTable) View() *Table {
 	return &Table{K: it.base.K, Ingress: it.base.Ingress, Paths: it.paths, topo: it.base.topo}
+}
+
+// Frozen returns a copy of the installed table that later events leave
+// unchanged. An event replaces a pair's path slice and never edits one
+// in place, so copying Paths suffices.
+func (it *IncrementalTable) Frozen() *Table {
+	t := it.View()
+	t.Paths = slices.Clone(t.Paths)
+	return t
 }
 
 // RulesPerSwitch returns the installed per-switch rule counts, maintained

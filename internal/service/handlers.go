@@ -7,6 +7,7 @@ import (
 	"net/url"
 	"sort"
 	"strconv"
+	"time"
 
 	"flattree/internal/churn"
 	"flattree/internal/control"
@@ -44,23 +45,12 @@ func sortedDelta(d routing.RuleDelta) []switchDelta {
 	return out
 }
 
-// failedLink is one masked link in /topology and /events/link responses.
+// failedLink is one masked link in /topology and /events/link responses:
+// sorted by ID, each link's endpoints low-first.
 type failedLink struct {
 	Link int `json:"link"`
 	A    int `json:"a"`
 	B    int `json:"b"`
-}
-
-// failedLinksLocked renders the masked links sorted by ID, each link's
-// endpoints low-first; callers hold at least a read lock.
-func (s *Server) failedLinksLocked() []failedLink {
-	masked := s.inc.Masked()
-	out := make([]failedLink, len(masked))
-	for i, id := range masked {
-		l := s.topo.G.Link(id)
-		out[i] = failedLink{Link: id, A: min(l.A, l.B), B: max(l.A, l.B)}
-	}
-	return out
 }
 
 // modeStrings renders a mode vector for JSON.
@@ -104,14 +94,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if !requireMethod(w, r, http.MethodGet) {
 		return
 	}
-	s.mu.RLock()
-	events := s.events
-	s.mu.RUnlock()
 	writeJSON(w, http.StatusOK, struct {
 		Status        string  `json:"status"`
 		UptimeSeconds float64 `json:"uptime_seconds"`
 		LinkEvents    int64   `json:"link_events_applied"`
-	}{Status: "ok", UptimeSeconds: sinceStart(s), LinkEvents: events})
+	}{Status: "ok", UptimeSeconds: time.Since(s.start).Seconds(), LinkEvents: s.cur.Load().events})
 }
 
 // topologyResponse is the GET /topology body.
@@ -132,16 +119,8 @@ func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request) {
 	if !requireMethod(w, r, http.MethodGet) {
 		return
 	}
-	writeJSON(w, http.StatusOK, s.snapshotTopology())
-}
-
-// snapshotTopology copies the identity/health view under the read lock
-// so the handler writes the response with the lock already released: a
-// slow client must not hold up the daemon's write lock (lockcheck).
-func (s *Server) snapshotTopology() topologyResponse {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return topologyResponse{
+	e := s.cur.Load()
+	writeJSON(w, http.StatusOK, topologyResponse{
 		Name:          s.topo.Name,
 		Fingerprint:   s.fp,
 		K:             s.cfg.K,
@@ -149,9 +128,9 @@ func (s *Server) snapshotTopology() topologyResponse {
 		Servers:       len(s.topo.Servers()),
 		Switches:      len(s.topo.Nodes) - len(s.topo.Servers()),
 		Links:         s.topo.G.NumLinks(),
-		FailedLinks:   s.failedLinksLocked(),
-		DegradedPairs: s.inc.DegradedPairs(),
-	}
+		FailedLinks:   e.failed,
+		DegradedPairs: e.degraded,
+	})
 }
 
 // GET /routes?src=&dst= — live k-shortest server-to-server lookup. The
@@ -172,10 +151,7 @@ func (s *Server) handleRoutes(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// ServerPaths builds fresh slices, so the body is encoded unlocked.
-	s.mu.RLock()
-	paths := s.inc.View().ServerPaths(src, dst)
-	s.mu.RUnlock()
+	paths := s.cur.Load().table.ServerPaths(src, dst)
 	if len(paths) > s.cfg.K {
 		paths = paths[:s.cfg.K]
 	}
@@ -288,10 +264,7 @@ func (s *Server) handleQuoteConvert(w http.ResponseWriter, r *http.Request) {
 		}
 		modes[i] = m
 	}
-	s.mu.RLock()
-	clone := s.nw.Clone()
-	s.mu.RUnlock()
-	q, err := control.QuotePodModes(clone, s.cfg.Delay, s.kByMode(), modes)
+	q, err := control.QuotePodModes(s.nw.Clone(), s.cfg.Delay, s.kByMode(), modes)
 	if err != nil {
 		httpError(w, http.StatusUnprocessableEntity, "quote: %v", err)
 		return
@@ -349,7 +322,7 @@ type linkEventResponse struct {
 }
 
 // POST /events/link — fail or repair a link through the live incremental
-// table. Mutations are serialized under the write lock.
+// table.
 func (s *Server) handleLinkEvent(w http.ResponseWriter, r *http.Request) {
 	if !requireMethod(w, r, http.MethodPost) {
 		return
@@ -371,11 +344,9 @@ func (s *Server) handleLinkEvent(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// applyLinkEvent applies the event to the incremental table under the
-// write lock and returns a fully copied response, so the handler writes
-// to the client with the lock already released: a stalled client
-// connection must not serialize every other request behind the daemon's
-// one write lock (lockcheck).
+// applyLinkEvent applies the event to the route table, publishes the
+// next epoch, and answers from the event's rule delta and that epoch.
+// Link events run one at a time; readers never wait for them.
 func (s *Server) applyLinkEvent(req linkEventRequest) (linkEventResponse, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -383,8 +354,8 @@ func (s *Server) applyLinkEvent(req linkEventRequest) (linkEventResponse, error)
 	if err != nil {
 		return linkEventResponse{}, err
 	}
-	s.events++
-	reaction := churn.ReactionTime(s.cfg.Detection, delta, s.cfg.Delay)
+	e := s.nextEpoch(s.cur.Load().events + 1)
+	s.cur.Store(e)
 	s.reg.Counter("flatd_link_events_total", "action", req.Action).Inc()
 	return linkEventResponse{
 		Action:          req.Action,
@@ -393,10 +364,10 @@ func (s *Server) applyLinkEvent(req linkEventRequest) (linkEventResponse, error)
 		Link:            link,
 		RulesDeleted:    delta.TotalDels(),
 		RulesAdded:      delta.TotalAdds(),
-		ReactionSeconds: reaction,
+		ReactionSeconds: churn.ReactionTime(s.cfg.Detection, delta, s.cfg.Delay),
 		RuleDelta:       sortedDelta(delta),
-		FailedLinks:     s.failedLinksLocked(),
-		DegradedPairs:   s.inc.DegradedPairs(),
+		FailedLinks:     e.failed,
+		DegradedPairs:   e.degraded,
 	}, nil
 }
 

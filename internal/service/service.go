@@ -13,10 +13,11 @@
 //	POST /events/link    fail/repair a link through the incremental table
 //	GET  /metrics        Prometheus text exposition of the telemetry registry
 //
-// Reads run concurrently under an RWMutex; mutations (/events/link) are
-// serialized, so the state is race-clean by construction. Conversion
-// quotes clone the network under the read lock and convert only the
-// clone (control.QuotePodModes), never live state. Every request runs
+// The daemon serves immutable epochs. Each applied link event publishes
+// the next epoch (event count, frozen route table, failed links) through
+// an atomic pointer, so a read loads one epoch and takes no lock; link
+// events are serialized among themselves. The network is never converted:
+// a quote converts a clone (control.QuotePodModes). Every request runs
 // under a deadline (Config.RequestTimeout) and is logged as a bounded
 // telemetry root span; Run drains in-flight requests on context
 // cancellation before returning.
@@ -29,6 +30,7 @@ import (
 	"net"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"flattree/internal/control"
@@ -66,28 +68,49 @@ type Config struct {
 	DrainTimeout time.Duration
 }
 
-// Server is the daemon's state: one mutex-owned struct so concurrent
-// reads and serialized mutations stay race-clean.
+// Server is the daemon's state. All of it but the route table is fixed
+// at New; the route table changes only by link events, each of which
+// publishes the next epoch for readers.
 type Server struct {
 	cfg   Config
 	reg   *telemetry.Registry
 	start time.Time
-
-	mu sync.RWMutex
-	// nw holds the live per-pod modes; topo is its healthy realization.
+	// nw holds the per-pod modes, topo their healthy realization and fp
+	// its content fingerprint.
 	nw   *core.Network
 	topo *topo.Topology
-	// fp is the healthy realization's content fingerprint, fixed at New.
-	fp string
-	// inc is the live route table and its failure record; link events
-	// mutate it in place.
+	fp   string
+
+	// mu serializes link events, the only users of inc: the live route
+	// table and its failure record, mutated in place.
+	mu  sync.Mutex
 	inc *routing.IncrementalTable
-	// events counts applied link events (the state's mutation epoch).
-	events int64
+	// cur is the epoch of the last applied link event.
+	cur atomic.Pointer[epoch]
 
 	// preHandle, when set (tests), runs inside the handler chain before
 	// dispatch — the hook the shutdown drain test blocks on.
 	preHandle func(*http.Request)
+}
+
+// epoch is what readers see after some number of applied link events.
+// It is built once per event and never modified.
+type epoch struct {
+	events   int64
+	table    *routing.Table
+	failed   []failedLink
+	degraded int
+}
+
+// nextEpoch freezes inc's state as the epoch after events link events.
+func (s *Server) nextEpoch(events int64) *epoch {
+	masked := s.inc.Masked()
+	failed := make([]failedLink, len(masked))
+	for i, id := range masked {
+		l := s.topo.G.Link(id)
+		failed[i] = failedLink{Link: id, A: min(l.A, l.B), B: max(l.A, l.B)}
+	}
+	return &epoch{events: events, table: s.inc.Frozen(), failed: failed, degraded: s.inc.DegradedPairs()}
 }
 
 // New realizes the network, builds the live route table, and returns a
@@ -136,7 +159,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("service: realized topology invalid: %w", err)
 	}
 	table := routing.BuildKShortestCached(t, cfg.K)
-	return &Server{
+	s := &Server{
 		cfg:   cfg,
 		reg:   cfg.Registry,
 		start: time.Now(),
@@ -144,7 +167,9 @@ func New(cfg Config) (*Server, error) {
 		topo:  t,
 		fp:    t.Fingerprint(),
 		inc:   routing.NewIncremental(table, nil),
-	}, nil
+	}
+	s.cur.Store(s.nextEpoch(0))
+	return s, nil
 }
 
 // Run serves on the established listener until ctx is cancelled, then
@@ -251,9 +276,6 @@ func (s *Server) observe(next http.Handler, stats map[string]*requestStats) http
 		st.seconds.Observe(time.Since(start).Seconds())
 	})
 }
-
-// sinceStart returns the daemon's uptime in seconds.
-func sinceStart(s *Server) float64 { return time.Since(s.start).Seconds() }
 
 // statusWriter captures the response status for the request span.
 type statusWriter struct {

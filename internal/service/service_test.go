@@ -15,6 +15,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -35,7 +36,7 @@ var testParams = topo.ClosParams{
 	ServersPerEdge: 2, EdgeUplinks: 2, AggUplinks: 2, Cores: 4,
 }
 
-func testNetwork(t *testing.T) *core.Network {
+func testNetwork(t testing.TB) *core.Network {
 	t.Helper()
 	nw, err := core.New(testParams, core.Options{N: 1, M: 1, Pattern: core.Pattern1})
 	if err != nil {
@@ -52,7 +53,7 @@ func testDelay() control.DelayModel {
 	return d
 }
 
-func newTestServer(t *testing.T) *Server {
+func newTestServer(t testing.TB) *Server {
 	t.Helper()
 	srv, err := New(Config{
 		Network:   testNetwork(t),
@@ -106,7 +107,7 @@ func checkGolden(t *testing.T, name string, got []byte) {
 
 // switchLink finds one switch-to-switch adjacency in the realized
 // topology — a failable link bundle for event tests.
-func switchLink(t *testing.T, tp *topo.Topology) (int, int) {
+func switchLink(t testing.TB, tp *topo.Topology) (int, int) {
 	t.Helper()
 	for _, l := range tp.G.Links() {
 		if tp.Nodes[l.A].Kind != topo.Server && tp.Nodes[l.B].Kind != topo.Server {
@@ -513,7 +514,7 @@ func indentedRoutes(t *testing.T, srv *Server, src, dst int) []byte {
 		Nodes []int `json:"nodes"`
 		Links []int `json:"links"`
 	}
-	paths := srv.inc.View().ServerPaths(src, dst)
+	paths := srv.cur.Load().table.ServerPaths(src, dst)
 	if len(paths) > srv.cfg.K {
 		paths = paths[:srv.cfg.K]
 	}
@@ -680,7 +681,10 @@ func TestMetrics(t *testing.T) {
 }
 
 // TestConcurrentHammer drives every endpoint from many goroutines at
-// once; run under -race it proves the mutex discipline.
+// once; run under -race it proves that readers never touch what link
+// events mutate. Each /healthz reader sees the applied-event count
+// never decrease, and afterwards the count and /topology's failed links
+// agree with the link events the daemon accepted.
 func TestConcurrentHammer(t *testing.T) {
 	srv := newTestServer(t)
 	ts := httptest.NewServer(srv.Handler())
@@ -700,32 +704,41 @@ func TestConcurrentHammer(t *testing.T) {
 		resp.Body.Close()
 		return resp.StatusCode
 	}
-	get := func(path string) int {
+	get := func(path string, v interface{}) int {
 		resp, err := client.Get(ts.URL + path)
 		if err != nil {
 			t.Error(err)
 			return 0
 		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
+		defer resp.Body.Close()
+		if v == nil {
+			io.Copy(io.Discard, resp.Body)
+		} else if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+			t.Errorf("GET %s: %v", path, err)
+		}
 		return resp.StatusCode
 	}
+	type health struct {
+		LinkEvents int64 `json:"link_events_applied"`
+	}
 
-	const workers, iters = 8, 12
+	const workers, iters = 10, 12
 	var wg sync.WaitGroup
+	var fails, repairs atomic.Int64
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			var last int64
 			for i := 0; i < iters; i++ {
-				switch w % 4 {
+				switch w % 5 {
 				case 0:
-					if code := get("/topology"); code != http.StatusOK {
+					if code := get("/topology", nil); code != http.StatusOK {
 						t.Errorf("topology status %d", code)
 					}
 				case 1:
 					target := fmt.Sprintf("/routes?src=%d&dst=%d", servers[0], servers[len(servers)-1])
-					if code := get(target); code != http.StatusOK {
+					if code := get(target, nil); code != http.StatusOK {
 						t.Errorf("routes status %d", code)
 					}
 				case 2:
@@ -738,17 +751,44 @@ func TestConcurrentHammer(t *testing.T) {
 					// fail / nothing to repair) is a legitimate outcome.
 					action := []string{"fail", "repair"}[i%2]
 					body := fmt.Sprintf(`{"action":%q,"a":%d,"b":%d}`, action, a, b)
-					if code := post("/events/link", body); code != http.StatusOK && code != http.StatusUnprocessableEntity {
+					switch code := post("/events/link", body); {
+					case code == http.StatusOK && action == "fail":
+						fails.Add(1)
+					case code == http.StatusOK:
+						repairs.Add(1)
+					case code != http.StatusUnprocessableEntity:
 						t.Errorf("link event status %d", code)
 					}
+				case 4:
+					var h health
+					if code := get("/healthz", &h); code != http.StatusOK {
+						t.Errorf("healthz status %d", code)
+					}
+					if h.LinkEvents < last {
+						t.Errorf("link_events_applied went from %d to %d", last, h.LinkEvents)
+					}
+					last = h.LinkEvents
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
 
-	if code := get("/metrics"); code != http.StatusOK {
+	if code := get("/metrics", nil); code != http.StatusOK {
 		t.Errorf("metrics status %d", code)
+	}
+	if fails.Load() == 0 {
+		t.Fatal("no link event was accepted; the epoch checks cover nothing")
+	}
+	var h health
+	get("/healthz", &h)
+	if want := fails.Load() + repairs.Load(); h.LinkEvents != want {
+		t.Errorf("link_events_applied = %d, want %d accepted link events", h.LinkEvents, want)
+	}
+	var tp topologyResponse
+	get("/topology", &tp)
+	if want := fails.Load() - repairs.Load(); int64(len(tp.FailedLinks)) != want {
+		t.Errorf("failed_links = %+v, want %d (%d fails - %d repairs accepted)", tp.FailedLinks, want, fails.Load(), repairs.Load())
 	}
 }
 

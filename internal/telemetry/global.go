@@ -37,5 +37,14 @@ func G(name string, labels ...string) *Gauge { return Default().Gauge(name, labe
 func H(name string, labels ...string) *Histogram { return Default().Histogram(name, labels...) }
 
 // StartRootSpan opens a root span on the global registry (nil when
-// disabled).
-func StartRootSpan(name string, attrs ...Attr) *Span { return Default().StartRootSpan(name, attrs...) }
+// disabled). Only the nil check is inlined into the caller.
+func StartRootSpan(name string, attrs ...Attr) *Span {
+	if Default() == nil {
+		return nil
+	}
+	return rootSpan(name, attrs)
+}
+
+// rootSpan opens a root on the global registry, which may have been
+// disabled since the caller's check.
+func rootSpan(name string, attrs []Attr) *Span { return Default().StartRootSpan(name, attrs...) }

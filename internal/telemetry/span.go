@@ -38,10 +38,10 @@ type Span struct {
 	kids   []*Span
 }
 
-// newSpan opens a span under parent (nil for a root) without filing it.
-func (r *Registry) newSpan(parent *Span, name string, attrs []Attr) *Span {
+// newSpan opens a span with no parent, without filing it.
+func (r *Registry) newSpan(name string, attrs []Attr) *Span {
 	now := time.Now()
-	return &Span{reg: r, parent: parent, name: name, start: now, offset: now.Sub(r.start).Seconds(), attrs: attrs}
+	return &Span{reg: r, name: name, start: now, offset: now.Sub(r.start).Seconds(), attrs: attrs}
 }
 
 // StartRootSpan opens a root span. It returns nil — a no-op span — on a
@@ -51,7 +51,7 @@ func (r *Registry) StartRootSpan(name string, attrs ...Attr) *Span {
 	if r == nil {
 		return nil
 	}
-	return r.newSpan(nil, name, attrs)
+	return r.newSpan(name, attrs)
 }
 
 // Child opens a timed child span of s. It returns nil on a nil span, so
@@ -60,25 +60,7 @@ func (s *Span) Child(name string, attrs ...Attr) *Span {
 	if s == nil {
 		return nil
 	}
-	return s.adopt(s.reg.newSpan(s, name, attrs))
-}
-
-// adopt files kid as the last child of s.
-func (s *Span) adopt(kid *Span) *Span {
-	s.reg.mu.Lock()
-	defer s.reg.mu.Unlock()
-	s.kids = append(s.kids, kid)
-	return kid
-}
-
-// SetAttr appends attributes to the span.
-func (s *Span) SetAttr(attrs ...Attr) {
-	if s == nil {
-		return
-	}
-	s.reg.mu.Lock()
-	defer s.reg.mu.Unlock()
-	s.attrs = append(s.attrs, attrs...)
+	return s.adopt(name, attrs, 0, false)
 }
 
 // Record attaches an already-finished child span with an explicit duration
@@ -88,18 +70,43 @@ func (s *Span) Record(name string, seconds float64, attrs ...Attr) *Span {
 	if s == nil {
 		return nil
 	}
-	kid := s.reg.newSpan(s, name, attrs)
-	kid.dur, kid.model, kid.ended = seconds, true, true
-	return s.adopt(kid)
+	return s.adopt(name, attrs, seconds, true)
+}
+
+// adopt opens a child of s and files it as the last of s's children:
+// timed and running, or modeled and already ended after seconds.
+func (s *Span) adopt(name string, attrs []Attr, seconds float64, modeled bool) *Span {
+	kid := s.reg.newSpan(name, attrs)
+	kid.parent, kid.dur, kid.model, kid.ended = s, seconds, modeled, modeled
+	s.reg.mu.Lock()
+	defer s.reg.mu.Unlock()
+	s.kids = append(s.kids, kid)
+	return kid
+}
+
+// SetAttr appends attributes to the span.
+func (s *Span) SetAttr(attrs ...Attr) {
+	if s != nil {
+		s.setAttr(attrs)
+	}
+}
+
+func (s *Span) setAttr(attrs []Attr) {
+	s.reg.mu.Lock()
+	defer s.reg.mu.Unlock()
+	s.attrs = append(s.attrs, attrs...)
 }
 
 // End closes the span, fixing its wall-clock duration, and files a span
 // with no parent into the registry as a root for export. Ending a parent
 // before its children is tolerated; double End is a no-op.
 func (s *Span) End() {
-	if s == nil {
-		return
+	if s != nil {
+		s.end()
 	}
+}
+
+func (s *Span) end() {
 	dur := time.Since(s.start).Seconds()
 	r := s.reg
 	r.mu.Lock()
